@@ -82,9 +82,16 @@ impl AccuracyReport {
 
 /// Runs a [`ClassifyingCache`] and a [`ThreeCClassifier`] side by side
 /// over one reference stream.
+///
+/// The `*_with_truth` entry points take the three-C verdicts from the
+/// caller instead — typically read off a memoized LRU stack-distance
+/// pass, which yields the same verdict for every capacity at once —
+/// and leave the owned oracle idle.
 #[derive(Debug, Clone)]
 pub struct AccuracyEvaluator<T = MissClassificationTable> {
     cache: ClassifyingCache<T>,
+    /// The owned oracle, fed only by the entry points that do not
+    /// take caller-supplied verdicts.
     oracle: ThreeCClassifier,
     report: AccuracyReport,
     /// Scratch for [`Self::observe_block`]: per-event oracle conflict
@@ -112,10 +119,9 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// shadow-directory depth ablation uses this).
     #[must_use]
     pub fn with_classifier(geom: CacheGeometry, table: T) -> Self {
-        let oracle = ThreeCClassifier::new(geom.num_lines());
         AccuracyEvaluator {
             cache: ClassifyingCache::with_classifier(geom, table),
-            oracle,
+            oracle: ThreeCClassifier::new(geom.num_lines()),
             report: AccuracyReport::default(),
             oracle_conflict: Vec::new(),
             classes: Vec::new(),
@@ -133,22 +139,32 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// line, reconstructed with `line_from_parts` — identical to the
     /// address the parts came from.
     pub fn observe_parts(&mut self, set: usize, tag: u64) {
-        self.report.accesses += 1;
         let line = self.cache.geometry().line_from_parts(tag, set);
-        let oracle_class = self.oracle.observe(line);
+        let oracle_conflict = self.oracle.observe(line).is_conflict();
+        self.observe_parts_with_truth(set, tag, oracle_conflict);
+    }
+
+    /// [`Self::observe_parts`] with the three-C verdict supplied by
+    /// the caller: `oracle_conflict` is whether a fully-associative
+    /// LRU cache of the geometry's line capacity would hit this
+    /// reference (and it is not a first touch). The report, and the
+    /// probe events an armed sink records, are those of
+    /// [`Self::observe_parts`] whenever the verdict is the oracle's.
+    pub fn observe_parts_with_truth(&mut self, set: usize, tag: u64, oracle_conflict: bool) {
+        self.report.accesses += 1;
         let outcome = self.cache.access_parts(set, tag);
         let Some(miss) = outcome.miss() else { return };
         self.report.misses += 1;
-        let agree = if oracle_class.is_conflict() {
+        let agree = if oracle_conflict {
             miss.class == MissClass::Conflict
         } else {
             miss.class == MissClass::Capacity
         };
         probe::emit(probe::ProbeEvent::Oracle {
-            oracle_conflict: oracle_class.is_conflict(),
+            oracle_conflict,
             agree,
         });
-        if oracle_class.is_conflict() {
+        if oracle_conflict {
             self.report.conflict.record(agree);
         } else {
             self.report.capacity.record(agree);
@@ -183,23 +199,65 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
             }
             return;
         }
-        let geom = *self.cache.geometry();
+        self.run_owned_oracle(sets, tags);
+        // Move the flags out so the shared block path can borrow
+        // `self` mutably while reading them.
+        let flags = std::mem::take(&mut self.oracle_conflict);
+        self.observe_block_with_truth(sets, tags, flags.iter().copied());
+        self.oracle_conflict = flags;
+    }
+
+    /// [`Self::observe_block`] with the three-C verdicts supplied by
+    /// the caller, one per reference in trace order (see
+    /// [`Self::observe_parts_with_truth`]). The MCT cache replays the
+    /// block set-bucketed exactly as in [`Self::observe_block`] and
+    /// the verdicts are merged index by index; an armed probe sink
+    /// gets the per-event fallback with the same verdicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices and the verdicts differ in length, or a
+    /// set index is out of range for the geometry.
+    pub fn observe_block_with_truth(
+        &mut self,
+        sets: &[u32],
+        tags: &[u64],
+        oracle_conflict: impl ExactSizeIterator<Item = bool>,
+    ) {
+        assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
+        assert_eq!(
+            sets.len(),
+            oracle_conflict.len(),
+            "one three-C verdict per reference"
+        );
+        if probe::active() {
+            for ((&set, &tag), conflict) in sets.iter().zip(tags).zip(oracle_conflict) {
+                self.observe_parts_with_truth(set as usize, tag, conflict);
+            }
+            return;
+        }
         self.report.accesses += sets.len() as u64;
+        self.classes.clear();
+        self.classes.resize(sets.len(), BlockClass::Hit);
+        // The scratch vector is a disjoint field, but the borrow
+        // checker cannot split it through `self`; move `classes` out
+        // for the duration of the cache pass.
+        let mut classes = std::mem::take(&mut self.classes);
+        self.cache.access_parts_block(sets, tags, &mut classes);
+        merge_verdicts(&mut self.report, &classes, oracle_conflict);
+        self.classes = classes;
+    }
+
+    /// Runs the owned oracle over `sets`/`tags` in trace order into
+    /// the scratch flag array.
+    fn run_owned_oracle(&mut self, sets: &[u32], tags: &[u64]) {
+        let geom = *self.cache.geometry();
         self.oracle_conflict.clear();
         for (&set, &tag) in sets.iter().zip(tags) {
             let line = geom.line_from_parts(tag, set as usize);
             self.oracle_conflict
                 .push(self.oracle.observe(line).is_conflict());
         }
-        self.classes.clear();
-        self.classes.resize(sets.len(), BlockClass::Hit);
-        // The scratch vectors are disjoint fields, but the borrow
-        // checker cannot split them through `self`; move `classes`
-        // out for the duration of the cache pass.
-        let mut classes = std::mem::take(&mut self.classes);
-        self.cache.access_parts_block(sets, tags, &mut classes);
-        self.classes = classes;
-        self.merge_oracle_and_classes();
     }
 
     /// Observes a whole set-partitioned trace
@@ -242,45 +300,19 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
             }
             return;
         }
-        let geom = *self.cache.geometry();
         self.report.accesses += sets.len() as u64;
-        self.oracle_conflict.clear();
-        for (&set, &tag) in sets.iter().zip(tags) {
-            let line = geom.line_from_parts(tag, set as usize);
-            self.oracle_conflict
-                .push(self.oracle.observe(line).is_conflict());
-        }
+        self.run_owned_oracle(sets, tags);
         self.classes.clear();
         self.classes.resize(sets.len(), BlockClass::Hit);
-        // Same borrow split as `observe_block`.
+        // Same borrow split as `observe_block_with_truth`.
         let mut classes = std::mem::take(&mut self.classes);
         self.cache.access_parts_partitioned(runs, &mut classes);
+        merge_verdicts(
+            &mut self.report,
+            &classes,
+            self.oracle_conflict.iter().copied(),
+        );
         self.classes = classes;
-        self.merge_oracle_and_classes();
-    }
-
-    /// Merges the scratch oracle flags and MCT classifications —
-    /// parallel arrays in trace order — into the report.
-    fn merge_oracle_and_classes(&mut self) {
-        for (&oracle_conflict, &class) in self.oracle_conflict.iter().zip(&self.classes) {
-            if class == BlockClass::Hit {
-                continue;
-            }
-            self.report.misses += 1;
-            let agree = if oracle_conflict {
-                class == BlockClass::Conflict
-            } else {
-                class == BlockClass::Capacity
-            };
-            // No Oracle probe events here: this path runs only with
-            // probes disarmed (armed replay took the per-event branch
-            // above), where emit would be a no-op anyway.
-            if oracle_conflict {
-                self.report.conflict.record(agree);
-            } else {
-                self.report.capacity.record(agree);
-            }
-        }
     }
 
     /// Observes a whole stream.
@@ -309,6 +341,34 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     #[must_use]
     pub fn cache(&self) -> &ClassifyingCache<T> {
         &self.cache
+    }
+}
+
+/// Merges three-C verdicts and MCT classifications — parallel, in
+/// trace order — into `report`.
+fn merge_verdicts(
+    report: &mut AccuracyReport,
+    classes: &[BlockClass],
+    oracle_conflict: impl Iterator<Item = bool>,
+) {
+    for (oracle_conflict, &class) in oracle_conflict.zip(classes) {
+        if class == BlockClass::Hit {
+            continue;
+        }
+        report.misses += 1;
+        let agree = if oracle_conflict {
+            class == BlockClass::Conflict
+        } else {
+            class == BlockClass::Capacity
+        };
+        // No Oracle probe events here: block paths merge only with
+        // probes disarmed (armed replay takes the per-event branch),
+        // where emit would be a no-op anyway.
+        if oracle_conflict {
+            report.conflict.record(agree);
+        } else {
+            report.capacity.record(agree);
+        }
     }
 }
 
@@ -376,6 +436,66 @@ mod tests {
         assert_eq!(r.accesses, 100);
         assert_eq!(r.misses, 1);
         assert_eq!(r.conflict.denominator() + r.capacity.denominator(), 1);
+    }
+
+    /// A mixed conflict/capacity stream over a 16-line DM cache.
+    fn mixed_stream() -> Vec<LineAddr> {
+        let mut rng = sim_core::rng::SplitMix64::new(7);
+        (0..4_000).map(|_| line(rng.next_below(48))).collect()
+    }
+
+    /// The oracle's verdicts for `lines`, from an independent
+    /// classifier of the geometry's capacity.
+    fn oracle_verdicts(lines: &[LineAddr], capacity: usize) -> Vec<bool> {
+        let mut oracle = ThreeCClassifier::new(capacity);
+        lines
+            .iter()
+            .map(|&l| oracle.observe(l).is_conflict())
+            .collect()
+    }
+
+    #[test]
+    fn supplied_oracle_verdicts_reproduce_the_owned_oracle() {
+        let geom = dm(16);
+        let lines = mixed_stream();
+        let verdicts = oracle_verdicts(&lines, geom.num_lines());
+        let sets: Vec<u32> = lines.iter().map(|&l| geom.set_index(l) as u32).collect();
+        let tags: Vec<u64> = lines.iter().map(|&l| geom.tag(l)).collect();
+
+        let mut owned = AccuracyEvaluator::new(geom, TagBits::Full);
+        owned.observe_all(lines.iter().copied());
+        let owned = owned.finish();
+        assert!(owned.conflict.denominator() > 0 && owned.capacity.denominator() > 0);
+
+        for block in [1usize, 7, 256, lines.len()] {
+            let mut supplied = AccuracyEvaluator::new(geom, TagBits::Full);
+            for ((s, t), v) in sets
+                .chunks(block)
+                .zip(tags.chunks(block))
+                .zip(verdicts.chunks(block))
+            {
+                supplied.observe_block_with_truth(s, t, v.iter().copied());
+            }
+            assert_eq!(
+                supplied.oracle.shadow_len(),
+                0,
+                "the owned oracle stays idle"
+            );
+            assert_eq!(supplied.finish(), owned, "block {block}");
+        }
+
+        let mut per_event = AccuracyEvaluator::new(geom, TagBits::Full);
+        for ((&s, &t), &v) in sets.iter().zip(&tags).zip(&verdicts) {
+            per_event.observe_parts_with_truth(s as usize, t, v);
+        }
+        assert_eq!(per_event.finish(), owned);
+    }
+
+    #[test]
+    #[should_panic(expected = "one three-C verdict per reference")]
+    fn supplied_verdicts_must_cover_the_block() {
+        let mut eval = AccuracyEvaluator::new(dm(4), TagBits::Full);
+        eval.observe_block_with_truth(&[0, 1], &[0, 0], [false].into_iter());
     }
 
     #[test]

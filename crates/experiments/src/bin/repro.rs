@@ -222,7 +222,6 @@ fn main() -> ExitCode {
             })
         },
     );
-    let total_wall_seconds = total_start.elapsed_seconds();
 
     // Merge fresh, resumed, and degraded cells back into request
     // order.
@@ -296,6 +295,9 @@ fn main() -> ExitCode {
         ));
         mrc_run = Some(run);
     }
+    // The total spans every figure whose events it counts, the MRC
+    // family included.
+    let total_wall_seconds = total_start.elapsed_seconds();
 
     for rendered in &rendered_all {
         println!("{rendered}\n");

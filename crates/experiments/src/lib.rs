@@ -26,7 +26,10 @@
 //! per-event `(set, tag)` split is precomputed once per (workload,
 //! geometry) — set-partitioned at decomposition time on geometries
 //! past the kernel's sort threshold — and streamed into the cache
-//! kernel's batched entry points. Under `repro --stream`
+//! kernel's batched entry points, and the 3C ground truth is read off
+//! per-event LRU stack distances memoized once per (workload, line
+//! size) ([`distances_for`]) instead of a per-cell oracle pass. Under
+//! `repro --stream`
 //! ([`set_stream_mode`]) drivers bypass the arenas entirely and pipe
 //! generators through a chunked O([`STREAM_CHUNK`])-memory pipeline
 //! with byte-identical output.
@@ -143,6 +146,10 @@ pub enum ReplayTrace {
     Arena {
         /// Trace-order `(set, tag)` arrays.
         trace: Arc<DecomposedTrace>,
+        /// The memoized per-event LRU stack distances of the same
+        /// trace ([`distances_for`]): the three-C ground truth of
+        /// every capacity at once.
+        distances: Arc<[u32]>,
         /// The decompose-time set-partitioned form, present only when
         /// the geometry is past
         /// [`cache_model::SORT_SLOT_THRESHOLD`] (cache-resident
@@ -179,11 +186,13 @@ impl ReplayTrace {
 }
 
 /// The replay input for `(workload, SEED, events)` against `geom`:
-/// the arena-memoized decomposed trace — plus the set-partitioned
-/// form when `geom` is past [`cache_model::SORT_SLOT_THRESHOLD`] and
-/// block replay is enabled — or a streamed generator under
-/// [`stream_mode`]. This is what fig1, fig2 and the shadow-depth
-/// ablation feed [`replay_accuracy`].
+/// the arena-memoized decomposed trace and its stack-distance memo —
+/// plus the set-partitioned form when `geom` is past
+/// [`cache_model::SORT_SLOT_THRESHOLD`] and block replay is enabled —
+/// or a streamed generator under [`stream_mode`]. This is what fig1,
+/// fig2, the MRC family and the shadow-depth ablation feed
+/// [`replay_accuracy`]. The distance memo is built here, on the first
+/// replay of a trace, never when the arenas are warmed.
 #[must_use]
 pub fn replay_for(
     workload: &workloads::Workload,
@@ -198,6 +207,7 @@ pub fn replay_for(
         };
     }
     let trace = decomposed_for(workload, geom, events);
+    let distances = distances_for(workload, geom, events);
     let partitioned = (replay_block_size() > 1
         && geom.num_lines() > cache_model::SORT_SLOT_THRESHOLD)
         .then(|| {
@@ -208,29 +218,41 @@ pub fn replay_for(
                 || trace_for(workload, events),
             )
         });
-    ReplayTrace::Arena { trace, partitioned }
+    ReplayTrace::Arena {
+        trace,
+        distances,
+        partitioned,
+    }
 }
 
 /// The shared replay loop of the accuracy drivers (fig1, fig2, the
-/// shadow-depth ablation): streams the replay input through an
-/// [`mct::accuracy::AccuracyEvaluator`].
+/// MRC cross-check cells, the shadow-depth ablation): streams the
+/// replay input through an [`mct::accuracy::AccuracyEvaluator`].
 ///
 /// Arena inputs replay in event blocks of [`replay_block_size`]
-/// pairs (per-event loop at block size 1); past-threshold geometries
-/// carry the decompose-time set-partitioned form and replay whole
-/// per-set runs with no per-block sorting. Stream inputs run the
-/// chunked generator pipeline. Results are identical on every path
-/// (each is differential-tested against per-event replay); the
-/// variants exist purely for throughput and memory. When a probe
-/// sink is armed, every path falls back to per-event trace order so
-/// the emitted event stream is byte-identical to unbatched replay.
+/// pairs (per-event loop at block size 1) and take their three-C
+/// verdicts from the stack-distance memo — a miss is a conflict miss
+/// iff its distance is below the geometry's line capacity — so no
+/// cell runs an oracle of its own. Past-threshold geometries carry
+/// the decompose-time set-partitioned form and replay whole per-set
+/// runs against the evaluator's owned oracle. Stream inputs run the
+/// chunked generator pipeline, with the owned oracle since nothing is
+/// resident to memoize. Results are identical on every path (each is
+/// differential-tested against per-event replay); the variants exist
+/// purely for throughput and memory. When a probe sink is armed,
+/// every path falls back to per-event trace order so the emitted
+/// event stream is byte-identical to unbatched replay.
 pub fn replay_accuracy<T: mct::EvictionClassifier>(
     trace: &ReplayTrace,
     eval: &mut mct::accuracy::AccuracyEvaluator<T>,
 ) {
     let block = replay_block_size();
     match trace {
-        ReplayTrace::Arena { trace, partitioned } => {
+        ReplayTrace::Arena {
+            trace,
+            distances,
+            partitioned,
+        } => {
             if let Some(part) = partitioned {
                 if !sim_core::probe::active() {
                     let _span = sim_core::span::enter("replay_partitioned");
@@ -247,14 +269,25 @@ pub fn replay_accuracy<T: mct::EvictionClassifier>(
                 // Armed probes need per-event trace order; fall
                 // through to the trace-order paths below.
             }
+            let capacity = eval.cache().geometry().num_lines() as u64;
             if block <= 1 {
                 let _span = sim_core::span::enter("replay_events");
                 sim_core::span::add_events(trace.len() as u64);
-                trace.for_each(|set, tag| eval.observe_parts(set, tag));
+                for ((set, tag), &d) in trace.iter().zip(distances.iter()) {
+                    eval.observe_parts_with_truth(set as usize, tag, ::mrc::fits(d, capacity));
+                }
             } else {
                 let _span = sim_core::span::enter("replay_block");
                 sim_core::span::add_events(trace.len() as u64);
-                trace.for_each_block(block, |sets, tags| eval.observe_block(sets, tags));
+                let blocks = trace
+                    .sets()
+                    .chunks(block)
+                    .zip(trace.tags().chunks(block))
+                    .zip(distances.chunks(block));
+                for ((sets, tags), d) in blocks {
+                    let verdicts = d.iter().map(|&d| ::mrc::fits(d, capacity));
+                    eval.observe_block_with_truth(sets, tags, verdicts);
+                }
             }
         }
         ReplayTrace::Stream {
@@ -412,6 +445,34 @@ pub fn decomposed_for(
         geom.line_size(),
         geom.set_bits(),
         || trace_for(workload, events),
+    )
+}
+
+/// The per-event LRU stack distances of `(workload, SEED, events)` at
+/// `geom`'s line size ([`::mrc::StackDistanceEngine::distances_of_parts`],
+/// [`::mrc::COLD_DISTANCE`] for a first touch), computed in one engine
+/// pass on first request and memoized in the global
+/// [`DecomposedArena`]. Distances depend only on the line address, so
+/// every geometry with that line size — the four fig1 shapes, fig2's
+/// tag sweep, the MRC cells — shares one memo per workload, and each
+/// reads its three-C verdicts off it with [`::mrc::fits`].
+#[must_use]
+pub fn distances_for(
+    workload: &workloads::Workload,
+    geom: &CacheGeometry,
+    events: usize,
+) -> Arc<[u32]> {
+    DecomposedArena::global().get_or_distances(
+        ArenaKey::new(workload.name(), SEED, events),
+        geom.line_size(),
+        || {
+            let trace = decomposed_for(workload, geom, events);
+            ::mrc::StackDistanceEngine::distances_of_parts(
+                trace.sets(),
+                trace.tags(),
+                trace.set_bits(),
+            )
+        },
     )
 }
 

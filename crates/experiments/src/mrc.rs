@@ -29,7 +29,7 @@
 use cache_model::CacheGeometry;
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::TagBits;
-use mrc::{CurvePoint, ShardsEngine, StackDistanceEngine};
+use mrc::{CurvePoint, DistanceHistogram, ShardsEngine, StackDistanceEngine};
 use workloads::Workload;
 
 use crate::telemetry::{json_f64, json_string};
@@ -49,55 +49,6 @@ pub fn workload_suite() -> Vec<Workload> {
     let mut all = workloads::full_suite();
     all.extend(workloads::taxonomy_suite());
     all
-}
-
-/// Exact or SHARDS-sampled stack-distance engine, chosen per run.
-enum Engine {
-    Exact(StackDistanceEngine),
-    Sampled(ShardsEngine),
-}
-
-impl Engine {
-    fn new(sample: Option<f64>) -> Engine {
-        match sample {
-            None => Engine::Exact(StackDistanceEngine::new()),
-            Some(rate) => {
-                Engine::Sampled(ShardsEngine::new(rate).expect("sample rate validated by the CLI"))
-            }
-        }
-    }
-
-    fn record_parts_block(&mut self, sets: &[u32], tags: &[u64], set_bits: u32) {
-        match self {
-            Engine::Exact(e) => e.record_parts_block(sets, tags, set_bits),
-            Engine::Sampled(e) => e.record_parts_block(sets, tags, set_bits),
-        }
-    }
-
-    fn miss_ratio(&self, capacity_lines: u64) -> f64 {
-        match self {
-            Engine::Exact(e) => e.miss_ratio(capacity_lines),
-            Engine::Sampled(e) => e.miss_ratio(capacity_lines),
-        }
-    }
-
-    /// Distinct lines resident in the engine's index (post-filter for
-    /// the sampled engine) — the memory-proportional quantity.
-    fn distinct_lines(&self) -> u64 {
-        match self {
-            Engine::Exact(e) => e.distinct_lines(),
-            Engine::Sampled(e) => e.distinct_sampled_lines(),
-        }
-    }
-
-    /// Events that reached the stack-distance tree (all of them for
-    /// the exact engine).
-    fn sampled_events(&self) -> u64 {
-        match self {
-            Engine::Exact(e) => e.histogram().total(),
-            Engine::Sampled(e) => e.sampled_events(),
-        }
-    }
 }
 
 /// One workload's miss-ratio curve on [`CAPACITY_LADDER`].
@@ -178,18 +129,17 @@ pub fn simulated_events(events: usize) -> u64 {
     ((crate::fig1::configurations().len() + 1) * suite * events) as u64
 }
 
-/// Replays a [`ReplayTrace`] through the engine. Arena inputs replay
-/// in event blocks; stream inputs run the chunked generator pipeline
-/// with pooled buffers, so memory stays O(chunk + engine index).
-fn replay_mrc(trace: &ReplayTrace, set_bits: u32, engine: &mut Engine) {
+/// Replays a [`ReplayTrace`] into `record`, one `(sets, tags)` block
+/// at a time. Arena inputs replay in event blocks; stream inputs run
+/// the chunked generator pipeline with pooled buffers, so memory stays
+/// O(chunk + engine index).
+fn replay_mrc(trace: &ReplayTrace, mut record: impl FnMut(&[u32], &[u64])) {
     let _span = sim_core::span::enter("replay_mrc");
     sim_core::span::add_events(trace.len() as u64);
     match trace {
         ReplayTrace::Arena { trace, .. } => {
             let block = crate::replay_block_size().max(1);
-            trace.for_each_block(block, |sets, tags| {
-                engine.record_parts_block(sets, tags, set_bits);
-            });
+            trace.for_each_block(block, record);
         }
         ReplayTrace::Stream {
             workload,
@@ -214,7 +164,7 @@ fn replay_mrc(trace: &ReplayTrace, set_bits: u32, engine: &mut Engine) {
                     sets[i] = (line & mask) as u32;
                     tags[i] = line >> set_bits;
                 }
-                engine.record_parts_block(&sets[..n], &tags[..n], set_bits);
+                record(&sets[..n], &tags[..n]);
                 left -= n;
             }
             cache_model::pool::recycle_u32(sets);
@@ -223,28 +173,63 @@ fn replay_mrc(trace: &ReplayTrace, set_bits: u32, engine: &mut Engine) {
     }
 }
 
+/// `miss_ratio` evaluated on [`CAPACITY_LADDER`].
+fn ladder_points(miss_ratio: impl Fn(u64) -> f64) -> Vec<CurvePoint> {
+    CAPACITY_LADDER
+        .iter()
+        .map(|&c| CurvePoint {
+            capacity_lines: c,
+            miss_ratio: miss_ratio(c),
+        })
+        .collect()
+}
+
 fn curve_for(
     workload: &Workload,
     geom: CacheGeometry,
     events: usize,
     sample: Option<f64>,
 ) -> WorkloadCurve {
-    let mut engine = Engine::new(sample);
     let trace = crate::replay_for(workload, &geom, events);
     crate::telemetry::record_events(events as u64);
-    replay_mrc(&trace, geom.set_bits(), &mut engine);
-    WorkloadCurve {
+    let set_bits = geom.set_bits();
+    let exact = |hist: &DistanceHistogram| WorkloadCurve {
         workload: workload.name().to_owned(),
         events: events as u64,
-        sampled_events: engine.sampled_events(),
-        distinct_lines: engine.distinct_lines(),
-        points: CAPACITY_LADDER
-            .iter()
-            .map(|&c| CurvePoint {
-                capacity_lines: c,
-                miss_ratio: engine.miss_ratio(c),
-            })
-            .collect(),
+        sampled_events: hist.total(),
+        // Every distinct line is cold exactly once.
+        distinct_lines: hist.cold(),
+        points: ladder_points(|c| hist.miss_ratio(c)),
+    };
+    match (&trace, sample) {
+        // The arena's memoized distances are the exact engine's pass
+        // over this trace; their histogram is the engine's, so no
+        // second pass runs.
+        (ReplayTrace::Arena { distances, .. }, None) => {
+            let _span = sim_core::span::enter("replay_mrc");
+            sim_core::span::add_events(distances.len() as u64);
+            exact(&DistanceHistogram::from_distances(distances))
+        }
+        (_, None) => {
+            let mut engine = StackDistanceEngine::new();
+            replay_mrc(&trace, |sets, tags| {
+                engine.record_parts_block(sets, tags, set_bits);
+            });
+            exact(engine.histogram())
+        }
+        (_, Some(rate)) => {
+            let mut engine = ShardsEngine::new(rate).expect("sample rate validated by the CLI");
+            replay_mrc(&trace, |sets, tags| {
+                engine.record_parts_block(sets, tags, set_bits);
+            });
+            WorkloadCurve {
+                workload: workload.name().to_owned(),
+                events: events as u64,
+                sampled_events: engine.sampled_events(),
+                distinct_lines: engine.distinct_sampled_lines(),
+                points: ladder_points(|c| engine.miss_ratio(c)),
+            }
+        }
     }
 }
 

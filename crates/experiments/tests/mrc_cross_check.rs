@@ -2,11 +2,17 @@
 //! oracle implement the *same* mathematical object — a
 //! fully-associative LRU cache of the geometry's line capacity — via
 //! unrelated code (an order-statistic tree over stack distances vs. a
-//! lazy-deletion LRU queue). On the Figure 1 smoke sweep their
-//! capacity-miss counts must therefore agree **exactly**: an access
-//! misses the oracle's shadow cache (Compulsory or Capacity class)
-//! iff its LRU stack distance is at least the capacity (or the line
-//! is cold). Any disagreement cell is printed with both counts.
+//! lazy-deletion LRU queue). On the Figure 1 smoke sweep they must
+//! therefore agree **exactly**, event by event: an access misses the
+//! oracle's shadow cache (Compulsory or Capacity class) iff its LRU
+//! stack distance is at least the capacity (or the line is cold).
+//!
+//! The accuracy drivers score the MCT against the memoized distances
+//! ([`experiments::distances_for`]) instead of running the oracle, and
+//! their merge pairs verdicts with classifications per event — so the
+//! memo is checked here per event against an independent oracle run
+//! over a freshly generated stream, not just in aggregate. Any
+//! disagreement is printed with its cell and event index.
 
 use cache_model::oracle::{OracleClass, ThreeCClassifier};
 use mrc::StackDistanceEngine;
@@ -22,6 +28,41 @@ fn lines_of(workload: &workloads::Workload) -> Vec<u64> {
     (0..EVENTS)
         .map(|_| source.next_event().access.addr.line(64).raw())
         .collect()
+}
+
+#[test]
+fn memoized_verdicts_match_three_c_oracle_per_event() {
+    let mut disagreements: Vec<String> = Vec::new();
+    let mut checked = 0u64;
+    for (config, geom) in experiments::fig1::configurations() {
+        let capacity = geom.num_lines();
+        for workload in experiments::mrc::workload_suite() {
+            let memo = experiments::distances_for(&workload, &geom, EVENTS);
+            assert_eq!(memo.len(), EVENTS);
+            let mut oracle = ThreeCClassifier::new(capacity);
+            for (i, (line, &d)) in lines_of(&workload).into_iter().zip(memo.iter()).enumerate() {
+                let oracle_conflict = oracle.observe(sim_core::LineAddr::new(line)).is_conflict();
+                let memo_conflict = mrc::fits(d, capacity as u64);
+                checked += 1;
+                if memo_conflict != oracle_conflict && disagreements.len() < 20 {
+                    disagreements.push(format!(
+                        "{config}/{} event {i}: memo distance {d} says conflict={memo_conflict}, oracle says {oracle_conflict}",
+                        workload.name(),
+                    ));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        checked,
+        (4 * experiments::mrc::workload_suite().len() * EVENTS) as u64
+    );
+    assert!(
+        disagreements.is_empty(),
+        "memoized verdicts disagree with the three-C oracle (first {}):\n{}",
+        disagreements.len(),
+        disagreements.join("\n")
+    );
 }
 
 #[test]

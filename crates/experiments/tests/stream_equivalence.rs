@@ -90,7 +90,9 @@ fn stream_and_partitioned_replay_match_arena_trace_order() {
     experiments::replay_accuracy(&replay, &mut via_partitioned);
     let decomposed = experiments::decomposed_for(&w, &mrc_geom, EVENTS);
     let mut via_events = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
-    decomposed.for_each(|set, tag| via_events.observe_parts(set, tag));
+    for (set, tag) in decomposed.iter() {
+        via_events.observe_parts(set as usize, tag);
+    }
     assert_eq!(
         via_partitioned.report(),
         via_events.report(),

@@ -14,6 +14,7 @@
 use sim_core::hash::FxHashMap;
 
 use crate::histogram::{CurvePoint, DistanceHistogram, MissRatioCurve};
+use crate::COLD_DISTANCE;
 
 /// A Fenwick (binary indexed) tree counting live markers per slot.
 ///
@@ -79,6 +80,13 @@ impl StackDistanceEngine {
 
     /// Records one line access.
     pub fn record_line(&mut self, line: u64) {
+        self.record_line_distance(line);
+    }
+
+    /// Records one line access and returns its stack distance, or
+    /// `None` for a first touch (infinite distance). The access is
+    /// recorded in the histogram exactly as by [`Self::record_line`].
+    pub fn record_line_distance(&mut self, line: u64) -> Option<u64> {
         if self.next_slot == self.slots {
             self.compact();
         }
@@ -92,11 +100,13 @@ impl StackDistanceEngine {
                 self.tree.add(prev, u32::MAX); // -1
                 self.tree.add(slot, 1);
                 self.hist.record(distance);
+                Some(distance)
             }
             None => {
                 self.live += 1;
                 self.tree.add(slot, 1);
                 self.hist.record_cold();
+                None
             }
         }
     }
@@ -112,6 +122,33 @@ impl StackDistanceEngine {
         for (&set, &tag) in sets.iter().zip(tags) {
             self.record_line(crate::line_from_parts(set, tag, set_bits));
         }
+    }
+
+    /// The per-event stack distances of a whole decomposed trace, one
+    /// `u32` per event in trace order: [`COLD_DISTANCE`] marks a first
+    /// touch, and a finite distance too large for `u32` saturates just
+    /// below it (it still exceeds every capacity a `u32` can name).
+    ///
+    /// This is the memo the accuracy drivers score against: an access
+    /// hits a fully-associative LRU cache of `C` lines iff its
+    /// distance is `< C` (see [`crate::fits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    #[must_use]
+    pub fn distances_of_parts(sets: &[u32], tags: &[u64], set_bits: u32) -> Vec<u32> {
+        assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
+        let mut engine = StackDistanceEngine::new();
+        sets.iter()
+            .zip(tags)
+            .map(|(&set, &tag)| {
+                match engine.record_line_distance(crate::line_from_parts(set, tag, set_bits)) {
+                    Some(d) => d.min(u64::from(COLD_DISTANCE - 1)) as u32,
+                    None => COLD_DISTANCE,
+                }
+            })
+            .collect()
     }
 
     /// Renumbers live markers densely into slot order, growing the

@@ -38,6 +38,23 @@ impl DistanceHistogram {
         self.total += 1;
     }
 
+    /// The histogram of a per-event distance memo (see
+    /// [`crate::StackDistanceEngine::distances_of_parts`]):
+    /// [`crate::COLD_DISTANCE`] entries count as cold. Identical to
+    /// the histogram of the engine pass that produced the memo.
+    #[must_use]
+    pub fn from_distances(distances: &[u32]) -> Self {
+        let mut hist = DistanceHistogram::new();
+        for &d in distances {
+            if d == crate::COLD_DISTANCE {
+                hist.record_cold();
+            } else {
+                hist.record(u64::from(d));
+            }
+        }
+        hist
+    }
+
     /// Records one cold (first-touch) access.
     pub fn record_cold(&mut self) {
         self.cold += 1;

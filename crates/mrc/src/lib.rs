@@ -54,6 +54,22 @@ pub use histogram::{CurvePoint, DistanceHistogram, MissRatioCurve};
 pub use naive::NaiveStackEngine;
 pub use sampled::ShardsEngine;
 
+/// The per-event distance recorded for a first touch (infinite stack
+/// distance) in a distance memo such as
+/// [`StackDistanceEngine::distances_of_parts`].
+pub const COLD_DISTANCE: u32 = u32::MAX;
+
+/// Whether an access at memoized stack distance `distance` hits a
+/// fully-associative LRU cache of `capacity_lines` lines — Mattson's
+/// inclusion property: `distance < capacity`, and never for a first
+/// touch ([`COLD_DISTANCE`]). For a re-reference that missed the real
+/// cache this is exactly the three-C oracle's *conflict* verdict.
+#[must_use]
+#[inline]
+pub fn fits(distance: u32, capacity_lines: u64) -> bool {
+    distance != COLD_DISTANCE && u64::from(distance) < capacity_lines
+}
+
 /// Reassembles a full line address from its decomposed `(set, tag)`
 /// parts — the inverse of the split `trace_gen::DecomposedTrace`
 /// performs, so MRC engines can consume the same chunked arrays the
@@ -67,6 +83,14 @@ pub fn line_from_parts(set: u32, tag: u64, set_bits: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fits_is_the_capacity_threshold_and_never_cold() {
+        assert!(fits(0, 1));
+        assert!(fits(15, 16));
+        assert!(!fits(16, 16));
+        assert!(!fits(COLD_DISTANCE, u64::MAX));
+    }
 
     #[test]
     fn line_from_parts_round_trips_the_decomposition() {

@@ -29,7 +29,14 @@ impl NaiveStackEngine {
     /// Records one line access: its distance is its position in the
     /// recency list (cold if absent), then it moves to the front.
     pub fn record_line(&mut self, line: u64) {
-        match self.stack.iter().position(|&l| l == line) {
+        self.record_line_distance(line);
+    }
+
+    /// Records one line access and returns its stack distance, or
+    /// `None` for a first touch.
+    pub fn record_line_distance(&mut self, line: u64) -> Option<u64> {
+        let distance = self.stack.iter().position(|&l| l == line);
+        match distance {
             Some(pos) => {
                 self.hist.record(pos as u64);
                 self.stack.remove(pos);
@@ -37,6 +44,7 @@ impl NaiveStackEngine {
             None => self.hist.record_cold(),
         }
         self.stack.insert(0, line);
+        distance.map(|pos| pos as u64)
     }
 
     /// Records a chunk of decomposed references (see

@@ -3,9 +3,12 @@
 //! list oracle [`NaiveStackEngine`] event for event — identical
 //! stack-distance histograms and miss ratios — across random traces,
 //! line sizes, and chunk boundaries (torn / size-1 / whole-trace),
-//! replayed at 1 and 4 worker threads.
+//! replayed at 1 and 4 worker threads. The per-event distance outputs
+//! (`record_line_distance` and the `distances_of_parts` memo, with
+//! [`COLD_DISTANCE`] on first touches) are compared one event at a
+//! time, since the accuracy drivers read their ground truth from them.
 
-use mrc::{NaiveStackEngine, ShardsEngine, StackDistanceEngine};
+use mrc::{DistanceHistogram, NaiveStackEngine, ShardsEngine, StackDistanceEngine, COLD_DISTANCE};
 use proptest::prelude::*;
 
 /// A small universe of byte addresses guarantees line reuse at every
@@ -68,6 +71,34 @@ proptest! {
         for cap in CAPACITIES {
             prop_assert_eq!(engine.miss_ratio(cap), oracle.miss_ratio(cap));
         }
+    }
+
+    /// Per-event distances: the tree engine's `record_line_distance`
+    /// and the decomposed memo both equal the naive engine's distance
+    /// at every event, cold sentinel included, and the memo's
+    /// histogram is the engine's.
+    #[test]
+    fn per_event_distances_match_naive_oracle(
+        line_bits in 4u32..9,
+        set_bits in 0u32..8,
+        addrs in prop::collection::vec(0u64..ADDR_UNIVERSE, 1..400),
+    ) {
+        let (sets, tags) = decompose(&addrs, line_bits, set_bits);
+        let memo = StackDistanceEngine::distances_of_parts(&sets, &tags, set_bits);
+        prop_assert_eq!(memo.len(), addrs.len());
+        let mut naive = NaiveStackEngine::new();
+        let mut tree = StackDistanceEngine::new();
+        let mut seen = std::collections::HashSet::new();
+        for (i, &addr) in addrs.iter().enumerate() {
+            let line = addr >> line_bits;
+            let expected = naive.record_line_distance(line);
+            prop_assert_eq!(tree.record_line_distance(line), expected, "event {}", i);
+            prop_assert_eq!(expected.is_none(), seen.insert(line), "event {}", i);
+            let want = expected.map_or(COLD_DISTANCE, |d| d as u32);
+            prop_assert_eq!(memo[i], want, "event {}", i);
+        }
+        prop_assert_eq!(&DistanceHistogram::from_distances(&memo), naive.histogram());
+        prop_assert_eq!(tree.histogram(), naive.histogram());
     }
 
     /// A whole-trace chunk (chunk beyond the trace length) is one

@@ -68,6 +68,11 @@ pub fn canonical_schema(family: &str) -> Option<&'static str> {
 /// [`crate::span::scope`] must start with one of these; the simlint
 /// `span-name` rule enforces it at call sites and
 /// `obs verify-trace` re-checks emitted streams.
+///
+/// `arena_` marks warm-up: the trace arena's `arena_materialize`, the
+/// decomposed arena's `arena_decompose` and `arena_partition`, and the
+/// stack-distance memo's `arena_distances`, all opened as `arena`
+/// subsystem scopes apart from the figure cells they serve.
 pub const SPAN_NAME_PREFIXES: [&str; 8] = [
     "arena_", "cell_", "fault_", "fig_", "probe_", "replay_", "sched_", "sweep_",
 ];
@@ -107,10 +112,12 @@ pub fn bench_group_registered(name: &str) -> bool {
 /// `hot-path-alloc`) walk the workspace call graph starting here.
 ///
 /// Registration is by function name, not path: the kernel's batched,
-/// partitioned, and per-event forms all funnel through these, and a
+/// partitioned, and per-event forms all funnel through these (the
+/// accuracy sweeps through the `*_with_truth` forms, which take their
+/// three-C verdicts from the stack-distance memo), and a
 /// new crate that defines a function with one of these names opts
 /// straight into the hot-path contract.
-pub const HOT_ENTRY_POINTS: [&str; 14] = [
+pub const HOT_ENTRY_POINTS: [&str; 16] = [
     "access_block",
     "access_block_with",
     "access_partitioned",
@@ -121,8 +128,10 @@ pub const HOT_ENTRY_POINTS: [&str; 14] = [
     "fill_at",
     "fill_parts",
     "observe_block",
+    "observe_block_with_truth",
     "observe_partitioned",
     "observe_parts",
+    "observe_parts_with_truth",
     "peek_at",
     "probe_at",
 ];
@@ -168,6 +177,7 @@ mod tests {
     #[test]
     fn prefix_predicates() {
         assert!(span_name_registered("replay_partitioned"));
+        assert!(span_name_registered("arena_distances"));
         assert!(!span_name_registered("mystery_phase"));
         assert!(bench_group_registered("substrate/cache_kernel"));
         assert!(bench_group_registered("figure_drivers"));
@@ -176,7 +186,12 @@ mod tests {
 
     #[test]
     fn entry_points_cover_the_kernel_and_mct_forms() {
-        for name in ["access_block", "observe_partitioned", "fill_at"] {
+        for name in [
+            "access_block",
+            "observe_partitioned",
+            "observe_block_with_truth",
+            "fill_at",
+        ] {
             assert!(hot_entry_point(name));
         }
         assert!(!hot_entry_point("render_table"));

@@ -518,9 +518,12 @@ mod tests {
         // are pinned here so a prefix change cannot silently
         // unregister them: `arena_partition` (decompose-time counting
         // sort), `replay_partitioned` (per-set-run replay), and
-        // `replay_stream` (chunked generator replay).
+        // `replay_stream` (chunked generator replay); likewise the
+        // stack-distance memo build, `arena_distances`, which the
+        // accuracy drivers' ground truth is read from.
         assert!(name_registered("replay_block"));
         assert!(name_registered("arena_partition"));
+        assert!(name_registered("arena_distances"));
         assert!(name_registered("replay_partitioned"));
         assert!(name_registered("replay_stream"));
         assert!(!name_registered("my_phase"));

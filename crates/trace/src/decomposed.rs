@@ -47,12 +47,6 @@ use sim_core::hash::FxHashMap;
 use crate::arena::ArenaKey;
 use crate::TraceEvent;
 
-/// How many `(set, tag)` pairs a chunked replay loop pulls per
-/// iteration of [`DecomposedTrace::for_each`]. One chunk of both
-/// arrays (48 KB) sits comfortably in L1/L2 while the consuming cache
-/// model's own arrays stay resident.
-const REPLAY_CHUNK: usize = 4096;
-
 /// One trace split against one indexing scheme: event `i` touches set
 /// `sets[i]` with tag `tags[i]`.
 ///
@@ -145,27 +139,11 @@ impl DecomposedTrace {
         sim_core::LineAddr::new((self.tags[i] << self.set_bits) | u64::from(self.sets[i]))
     }
 
-    /// Streams every `(set, tag)` pair through `f` in trace order,
-    /// walking both arrays in cache-friendly chunks of
-    /// [`REPLAY_CHUNK`] pairs. This is the kernel replay loop the
-    /// figure drivers use.
-    pub fn for_each(&self, mut f: impl FnMut(usize, u64)) {
-        for (sets, tags) in self
-            .sets
-            .chunks(REPLAY_CHUNK)
-            .zip(self.tags.chunks(REPLAY_CHUNK))
-        {
-            for (&set, &tag) in sets.iter().zip(tags) {
-                f(set as usize, tag);
-            }
-        }
-    }
-
     /// Streams the parallel `sets`/`tags` arrays through `f` in
     /// fixed-size blocks of `block` pairs (the final block may be
-    /// shorter). This is the batched counterpart of
-    /// [`Self::for_each`], feeding the kernel's `access_block` entry
-    /// points; a `block` of zero is treated as one whole-trace block.
+    /// shorter). This is the batched counterpart of [`Self::iter`],
+    /// feeding the kernel's `access_block` entry points; a `block` of
+    /// zero is treated as one whole-trace block.
     pub fn for_each_block(&self, block: usize, mut f: impl FnMut(&[u32], &[u64])) {
         if self.sets.is_empty() {
             return;
@@ -448,6 +426,9 @@ pub struct PartitionedStats {
     pub resident_bytes: u64,
 }
 
+/// One distance-memo slot, same discipline as [`DecomposedCell`].
+type DistanceCell = Arc<OnceLock<Arc<[u32]>>>;
+
 /// A memoizing store of decomposed traces, mirroring
 /// [`crate::arena::TraceArena`]: the map mutex is held only to look up
 /// or insert a per-key [`OnceLock`], never while decomposing, so
@@ -462,6 +443,9 @@ pub struct DecomposedArena {
     part_hits: AtomicU64,
     part_misses: AtomicU64,
     part_resident_bytes: AtomicU64,
+    distances: Mutex<FxHashMap<(ArenaKey, u64), DistanceCell>>,
+    dist_hits: AtomicU64,
+    dist_misses: AtomicU64,
 }
 
 impl DecomposedArena {
@@ -598,6 +582,66 @@ impl DecomposedArena {
         Arc::clone(result)
     }
 
+    /// Returns the per-event LRU stack distances of the trace
+    /// identified by `key` at `line_size`-byte lines, building them on
+    /// first request with `distances` and memoizing the result.
+    ///
+    /// Stack distances depend only on the line address, so one memo
+    /// serves every geometry with that line size, whatever its set
+    /// bits. The build is lazy — the first replay pays it, never the
+    /// decomposition — and runs under the `arena_distances` subsystem
+    /// span. It is counted in [`Self::distance_stats`], not in
+    /// [`Self::stats`], so a memo build never reads as an arena build.
+    /// Racing requests for one key share one build.
+    pub fn get_or_distances(
+        &self,
+        key: ArenaKey,
+        line_size: u64,
+        distances: impl FnOnce() -> Vec<u32>,
+    ) -> Arc<[u32]> {
+        let span_label = sim_core::span::active()
+            .then(|| format!("{}/{}/{}/ls{line_size}", key.workload, key.seed, key.events));
+        let cell = {
+            let mut map = self
+                .distances
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(map.entry((key, line_size)).or_default())
+        };
+        let mut built = false;
+        let result = cell.get_or_init(|| {
+            sim_core::span::scope(
+                sim_core::span::ScopeKind::Subsystem,
+                "arena_distances",
+                "arena",
+                || span_label.clone().unwrap_or_default(),
+                || {
+                    built = true;
+                    let d: Arc<[u32]> = distances().into();
+                    sim_core::span::add_events(d.len() as u64);
+                    d
+                },
+            )
+        });
+        if built {
+            self.dist_misses.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.dist_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Arc::clone(result)
+    }
+
+    /// `(hits, misses)` counters of the distance memo (see
+    /// [`Self::get_or_distances`]): requests served from a memoized
+    /// array vs requests that built one.
+    #[must_use]
+    pub fn distance_stats(&self) -> (u64, u64) {
+        (
+            self.dist_hits.load(Ordering::Relaxed),
+            self.dist_misses.load(Ordering::Relaxed),
+        )
+    }
+
     /// `(hits, misses)` counters: requests served by replay vs
     /// requests that decomposed.
     #[must_use]
@@ -627,9 +671,15 @@ impl DecomposedArena {
         }
     }
 
-    /// Drops every resident decomposition and partition (outstanding
-    /// `Arc`s stay valid) and resets the counters.
+    /// Drops every resident decomposition, partition and distance
+    /// memo (outstanding `Arc`s stay valid) and resets the counters.
     pub fn clear(&self) {
+        self.distances
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.dist_hits.store(0, Ordering::Relaxed);
+        self.dist_misses.store(0, Ordering::Relaxed);
         self.map
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -681,22 +731,11 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_pair_in_order() {
-        // More events than one replay chunk, to cross a boundary.
-        let events = sweep_events(REPLAY_CHUNK + 37);
+    fn for_each_block_matches_iter_including_torn_tail() {
+        let events = sweep_events(4096 + 37);
         let d = DecomposedTrace::decompose(&events, 64, 4);
-        let mut seen = Vec::new();
-        d.for_each(|set, tag| seen.push((set as u32, tag)));
-        assert_eq!(seen.len(), d.len());
-        assert_eq!(seen, d.iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_each_block_matches_for_each_including_torn_tail() {
-        let events = sweep_events(REPLAY_CHUNK + 37);
-        let d = DecomposedTrace::decompose(&events, 64, 4);
-        let mut whole = Vec::new();
-        d.for_each(|set, tag| whole.push((set as u32, tag)));
+        let whole: Vec<(u32, u64)> = d.iter().collect();
+        assert_eq!(whole.len(), d.len());
         for block in [1usize, 7, 64, 1000, d.len(), d.len() + 5, 0] {
             let mut seen = Vec::new();
             d.for_each_block(block, |sets, tags| {
@@ -746,6 +785,98 @@ mod tests {
         assert_eq!(kept.len(), 50); // outstanding Arc survives clear
         let again = arena.get_or_decompose(ArenaKey::new("s", 1, 50), 64, 4, || events);
         assert!(!Arc::ptr_eq(&kept, &again));
+    }
+
+    /// The paper's four Figure 1 geometries at 64 B lines, as set
+    /// bits: 16 KB DM, 16 KB 2-way, 64 KB DM, 64 KB 2-way.
+    const FIG1_SET_BITS: [u32; 4] = [8, 7, 10, 9];
+
+    /// A stand-in distance build that counts its invocations; the
+    /// memo's contract does not depend on what it computes.
+    fn counting_build<'a>(
+        builds: &'a AtomicU64,
+        d: &DecomposedTrace,
+    ) -> impl FnOnce() -> Vec<u32> + 'a {
+        let len = d.len();
+        move || {
+            builds.fetch_add(1, Ordering::Relaxed);
+            (0..len as u32).collect()
+        }
+    }
+
+    #[test]
+    fn distance_memo_is_built_once_across_fig1_geometries() {
+        let arena = DecomposedArena::new();
+        let events = sweep_events(400);
+        let key = ArenaKey::new("d", 1, 400);
+        let builds = AtomicU64::new(0);
+        let memos: Vec<Arc<[u32]>> = FIG1_SET_BITS
+            .iter()
+            .map(|&set_bits| {
+                let d = arena.get_or_decompose(key.clone(), 64, set_bits, || events.clone());
+                arena.get_or_distances(key.clone(), 64, counting_build(&builds, &d))
+            })
+            .collect();
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        for m in &memos[1..] {
+            assert!(Arc::ptr_eq(&memos[0], m));
+        }
+        // A different line size is a different memo.
+        let d = arena.get_or_decompose(key.clone(), 32, 8, || events.clone());
+        let other = arena.get_or_distances(key, 32, counting_build(&builds, &d));
+        assert!(!Arc::ptr_eq(&memos[0], &other));
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn concurrent_distance_requests_build_once() {
+        let arena = DecomposedArena::new();
+        let events = sweep_events(300);
+        let key = ArenaKey::new("race", 2, 300);
+        let builds = AtomicU64::new(0);
+        let cells: Vec<u32> = (0..16).collect();
+        let memos = sim_core::parallel::par_map_threads(8, cells, |i| {
+            let set_bits = FIG1_SET_BITS[i as usize % FIG1_SET_BITS.len()];
+            let d = arena.get_or_decompose(key.clone(), 64, set_bits, || events.clone());
+            arena.get_or_distances(key.clone(), 64, counting_build(&builds, &d))
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        for m in &memos[1..] {
+            assert!(Arc::ptr_eq(&memos[0], m));
+        }
+        assert_eq!(arena.distance_stats(), (15, 1));
+    }
+
+    #[test]
+    fn distance_memo_keeps_its_own_counters() {
+        let arena = DecomposedArena::new();
+        let events = sweep_events(250);
+        let key = ArenaKey::new("own", 1, 250);
+        let d = arena.get_or_decompose(key.clone(), 64, 8, || events.clone());
+        let decomposed_before = arena.stats();
+        let builds = AtomicU64::new(0);
+        let memo = arena.get_or_distances(key.clone(), 64, counting_build(&builds, &d));
+        let again = arena.get_or_distances(key, 64, || unreachable!("memoized"));
+        assert!(Arc::ptr_eq(&memo, &again));
+        // Memo traffic never reads as a decomposition.
+        assert_eq!(arena.stats(), decomposed_before);
+        assert_eq!(arena.distance_stats(), (1, 1));
+    }
+
+    #[test]
+    fn clear_drops_the_distance_memo() {
+        let arena = DecomposedArena::new();
+        let events = sweep_events(120);
+        let key = ArenaKey::new("c", 1, 120);
+        let d = arena.get_or_decompose(key.clone(), 64, 8, || events.clone());
+        let builds = AtomicU64::new(0);
+        let kept = arena.get_or_distances(key.clone(), 64, counting_build(&builds, &d));
+        arena.clear();
+        assert_eq!(arena.distance_stats(), (0, 0));
+        assert_eq!(kept.len(), 120); // outstanding Arc survives clear
+        let again = arena.get_or_distances(key, 64, counting_build(&builds, &d));
+        assert!(!Arc::ptr_eq(&kept, &again));
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
     }
 
     /// Reference partition: an independent stable sort by set.
