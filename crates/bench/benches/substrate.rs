@@ -273,8 +273,8 @@ fn bench_cache_kernel(c: &mut Criterion) {
     // then replay the (set, tag) arrays per event (`replay_per_event`,
     // the committed baseline the ≥2× target is measured against) and
     // through `access_block` at each candidate size. The sweep picked
-    // `experiments::DEFAULT_REPLAY_BLOCK` — see EXPERIMENTS.md, "Cache
-    // kernel round two".
+    // the 1024-event block `experiments::replay_block_size` returns —
+    // see EXPERIMENTS.md, "Cache kernel round two".
     for (pattern, refs) in [("dense", &dense), ("conflict", &conflict)] {
         let (sets, tags): (Vec<u32>, Vec<u64>) = refs
             .iter()
@@ -310,88 +310,6 @@ fn bench_cache_kernel(c: &mut Criterion) {
             });
         }
     }
-    g.finish();
-}
-
-/// Round three of the kernel story (EXPERIMENTS.md, "Cache kernel
-/// round three"): a 4 MB / 2-way geometry puts 65 536 slots above
-/// [`cache_model::SORT_SLOT_THRESHOLD`], so the per-block path
-/// (`block1024`, round two's winner) has to sort every block, while
-/// the set-partitioned form pays one stable partition at decompose
-/// time and then replays whole per-set runs with no per-block
-/// scratch. The pattern is spread-conflict: each event lands on a
-/// seeded-pseudo-random set with one of `2 × assoc` competing tags,
-/// so conflict traffic covers all 32 768 sets and a 1024-event block
-/// straddles ~1000 of them — the block sorter's worst case and the
-/// MRC-scale shape the partitioned path exists for.
-/// `partition_build` prices the up-front pass that `replay_partitioned`
-/// amortizes across every replay of the memoized form.
-fn bench_cache_kernel_partitioned(c: &mut Criterion) {
-    use cache_model::{SetRuns, SORT_SLOT_THRESHOLD};
-    use trace_gen::decomposed::{DecomposedTrace, PartitionedTrace};
-
-    let geom = CacheGeometry::new(4 * 1024 * 1024, 2, 64).unwrap();
-    assert!(geom.num_lines() > SORT_SLOT_THRESHOLD);
-    let num_sets = geom.num_sets() as u64;
-    let assoc = u64::from(geom.associativity());
-    let mut rng = sim_core::rng::SplitMix64::new(0x9a57_2026_0807);
-    let (sets, tags): (Vec<u32>, Vec<u64>) = (0..N)
-        .map(|_| (rng.next_below(num_sets) as u32, rng.next_below(2 * assoc)))
-        .unzip();
-    let trace = DecomposedTrace::from_parts(sets, tags, geom.set_bits());
-    let part = PartitionedTrace::partition(&trace);
-
-    let mut g = c.benchmark_group("substrate/cache_kernel");
-    g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("replay_per_event_spread", |b| {
-        b.iter(|| {
-            let mut cache: SetAssocCache<u32> = SetAssocCache::new(geom);
-            let mut evictions = 0u64;
-            for (&set, &tag) in trace.sets().iter().zip(trace.tags()) {
-                if cache.probe_at(set as usize, tag).is_none() {
-                    evictions += u64::from(cache.fill_at(set as usize, tag, 7).is_some());
-                }
-            }
-            black_box(evictions)
-        })
-    });
-    g.bench_function("block1024_spread", |b| {
-        let block = 1024;
-        let mut out = vec![BlockOutcome::Hit; block];
-        b.iter(|| {
-            let mut cache: SetAssocCache<u32> = SetAssocCache::new(geom);
-            let mut evictions = 0u64;
-            for (s, t) in trace.sets().chunks(block).zip(trace.tags().chunks(block)) {
-                let outcomes = &mut out[..s.len()];
-                cache.access_block(s, t, outcomes);
-                for &outcome in outcomes.iter() {
-                    evictions += u64::from(outcome == BlockOutcome::FilledEvicting);
-                }
-            }
-            black_box(evictions)
-        })
-    });
-    g.bench_function("partitioned_spread", |b| {
-        let mut out = vec![BlockOutcome::Hit; trace.len()];
-        b.iter(|| {
-            let mut cache: SetAssocCache<u32> = SetAssocCache::new(geom);
-            let runs = SetRuns::new(
-                part.dir_sets(),
-                part.dir_starts(),
-                part.indices(),
-                part.tags(),
-            );
-            cache.access_partitioned(runs, &mut out);
-            let mut evictions = 0u64;
-            for &outcome in out.iter() {
-                evictions += u64::from(outcome == BlockOutcome::FilledEvicting);
-            }
-            black_box(evictions)
-        })
-    });
-    g.bench_function("partition_build_spread", |b| {
-        b.iter(|| black_box(PartitionedTrace::partition(black_box(&trace))))
-    });
     g.finish();
 }
 
@@ -445,6 +363,6 @@ fn bench_mrc(c: &mut Criterion) {
 criterion_group! {
     name = substrate;
     config = Criterion::default().sample_size(10);
-    targets = bench_plain_cache, bench_classifying_cache, bench_probe_null, bench_span_null, bench_oracle, bench_trace_supply, bench_cache_kernel, bench_cache_kernel_partitioned, bench_full_pipeline, bench_mrc,
+    targets = bench_plain_cache, bench_classifying_cache, bench_probe_null, bench_span_null, bench_oracle, bench_trace_supply, bench_cache_kernel, bench_full_pipeline, bench_mrc,
 }
 criterion_main!(substrate);

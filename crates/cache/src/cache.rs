@@ -11,7 +11,6 @@ use crate::{CacheGeometry, CacheStats};
 /// substrate completeness (victim choice is itself a variable some of
 /// the cited work explores).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Replacement {
     /// Evict the least recently used line (default).
     #[default]
@@ -98,12 +97,8 @@ pub struct SetAssocCache<M = ()> {
     evictions: u64,
     /// Evictions per set. Random victim choice is seeded from this
     /// (not the global count) so the victim a set picks depends only
-    /// on that set's own history — the property that lets block replay
-    /// visit sets out of trace order and still match per-event replay.
+    /// on that set's own history.
     set_evictions: Box<[u32]>,
-    /// Bucketing scratch for [`Self::access_block_with`], reused
-    /// across blocks (taken out of the struct while a block runs).
-    scratch: Option<BlockScratch>,
     probed: bool,
 }
 
@@ -135,17 +130,6 @@ impl<M> SetAssocCache<M> {
             replacement,
             evictions: 0,
             set_evictions: crate::pool::take_u32_zeroed(geom.num_sets()),
-            // Built eagerly so block replay never allocates: the
-            // empty vectors grow inside pooled/amortized scratch on
-            // first use and are recycled with the cache.
-            scratch: Some(BlockScratch {
-                counts: crate::pool::take_u32_zeroed(geom.num_sets()),
-                touched: Vec::new(),
-                order: Vec::new(),
-                sorted_sets: Vec::new(),
-                sorted_tags: Vec::new(),
-                iota: Vec::new(),
-            }),
             probed: false,
         }
     }
@@ -183,8 +167,7 @@ impl<M> SetAssocCache<M> {
                 // Deterministic per (set's eviction count, set): the
                 // same victim is reported by eviction_candidate and
                 // taken by the subsequent fill, and the choice is
-                // independent of other sets' traffic (block replay
-                // relies on that).
+                // independent of other sets' traffic.
                 RandomPolicy::victim(
                     &self.stamps[base..base + occ],
                     self.set_evictions[set_index],
@@ -409,9 +392,8 @@ pub enum BlockOutcome {
 /// Per-event callbacks a block replay drives
 /// ([`SetAssocCache::access_block_with`]).
 ///
-/// `index` is the event's position in the caller's block: the kernel
-/// visits events set by set, not in block order, so sinks scatter
-/// their results through the index instead of appending.
+/// `index` is the event's position in the caller's block. Events are
+/// visited in block order.
 pub trait BlockSink<M> {
     /// Called on a hit with the resident line's metadata.
     fn hit(&mut self, index: usize, meta: &mut M);
@@ -422,179 +404,6 @@ pub trait BlockSink<M> {
     /// Called when the fill of event `index` displaced a resident
     /// line.
     fn evicted(&mut self, index: usize, set: usize, evicted_tag: u64, evicted_meta: M);
-}
-
-/// Reusable bucketing scratch for [`SetAssocCache::access_block_with`]:
-/// one counting-sort workspace, recycled across blocks.
-#[derive(Debug, Clone)]
-struct BlockScratch {
-    /// Per-set event count, then running start offset during the
-    /// scatter; re-zeroed (touched sets only) after every block.
-    counts: Box<[u32]>,
-    /// Sets with at least one event in the current block, in
-    /// first-appearance order.
-    touched: Vec<u32>,
-    /// Block event indices grouped by set, trace order within a set.
-    order: Vec<u32>,
-    /// The block's set indices in bucketed order — `sorted_sets[i]`
-    /// is the set of event `order[i]`. Scattered alongside `order` so
-    /// the replay walk reads sets and tags sequentially instead of
-    /// gathering `sets[order[i]]` from random block positions.
-    sorted_sets: Vec<u32>,
-    /// The block's tags in bucketed order, paired with `sorted_sets`.
-    sorted_tags: Vec<u64>,
-    /// Identity indices `0..block_len`, grown on demand: the
-    /// trace-order (unsorted) path slices event indices out of this
-    /// instead of materializing them per block.
-    iota: Vec<u32>,
-}
-
-/// Slot count (sets × ways) above which a block is bucketed by set
-/// before replay. Below it the kernel arrays are cache-resident
-/// anyway, so sorting is pure overhead and blocks run in trace order;
-/// above it, grouping a block's events by set turns random row
-/// accesses into per-set runs and an ascending sweep. The paper's
-/// L1/L2 shapes (≤ 16K slots ≈ 384 KB of rows) stay below the
-/// threshold; the MRC-scale geometries ROADMAP item 4 targets sit
-/// above it. Public because the same boundary decides when replay
-/// drivers request the decompose-time partitioned trace form
-/// ([`SetAssocCache::access_partitioned_with`]) instead of per-block
-/// sorting.
-pub const SORT_SLOT_THRESHOLD: usize = 16 * 1024;
-
-/// A borrowed set-partitioned event sequence: per-set runs of
-/// `(original_index, tag)` pairs plus a directory of touched sets —
-/// the CSR layout `trace_gen`'s `PartitionedTrace` produces at
-/// decomposition time. Run `k` covers set `dir_sets[k]` and occupies
-/// `indices[dir_starts[k]..dir_starts[k + 1]]` (same range of
-/// `tags`); within a run events keep trace order.
-///
-/// This is a view, not a container, so the kernel can consume
-/// presorted traces without the trace crate depending on this crate
-/// (or vice versa): producers expose raw slices, consumers rebuild
-/// the view.
-#[derive(Debug, Clone, Copy)]
-pub struct SetRuns<'a> {
-    dir_sets: &'a [u32],
-    dir_starts: &'a [u32],
-    indices: &'a [u32],
-    tags: &'a [u64],
-}
-
-impl<'a> SetRuns<'a> {
-    /// Builds the view over a CSR partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directory shape is inconsistent: `dir_starts`
-    /// must be one longer than `dir_sets`, start at 0, end at the
-    /// event count, and `indices`/`tags` must be equally long.
-    #[must_use]
-    pub fn new(
-        dir_sets: &'a [u32],
-        dir_starts: &'a [u32],
-        indices: &'a [u32],
-        tags: &'a [u64],
-    ) -> Self {
-        assert_eq!(
-            dir_starts.len(),
-            dir_sets.len() + 1,
-            "dir_starts must be one longer than dir_sets"
-        );
-        assert_eq!(dir_starts.first(), Some(&0), "runs must start at 0");
-        // dir_starts is non-empty here (first assert), so the
-        // fallback never applies; it keeps this total for the lint.
-        assert_eq!(
-            dir_starts.last().copied().unwrap_or(0) as usize,
-            indices.len(),
-            "dir_starts must end at the event count"
-        );
-        assert_eq!(indices.len(), tags.len(), "indices/tags length mismatch");
-        SetRuns {
-            dir_sets,
-            dir_starts,
-            indices,
-            tags,
-        }
-    }
-
-    /// Number of events across all runs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// `true` if there are no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// Number of per-set runs.
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.dir_sets.len()
-    }
-
-    /// Iterates `(set, original_indices, tags)` runs in directory
-    /// order.
-    pub fn runs(&self) -> impl Iterator<Item = (u32, &'a [u32], &'a [u64])> + '_ {
-        self.dir_sets.iter().enumerate().map(move |(k, &set)| {
-            let lo = self.dir_starts[k] as usize;
-            let hi = self.dir_starts[k + 1] as usize;
-            (set, &self.indices[lo..hi], &self.tags[lo..hi])
-        })
-    }
-}
-
-impl BlockScratch {
-    /// Stable counting sort of the block's events by set.
-    ///
-    /// Touched-set bookkeeping keeps the cost proportional to the
-    /// block, not the geometry: only counters that became nonzero are
-    /// visited for the prefix sum and the re-zeroing. The scatter
-    /// moves whole `(index, set, tag)` tuples, not just indices: one
-    /// random write per event here buys fully sequential reads in the
-    /// replay walk, which would otherwise pay two random gathers per
-    /// event on blocks larger than L1.
-    fn bucket(&mut self, sets: &[u32], tags: &[u64]) {
-        self.touched.clear();
-        self.order.clear();
-        self.order.resize(sets.len(), 0);
-        self.sorted_sets.clear();
-        self.sorted_sets.resize(sets.len(), 0);
-        self.sorted_tags.clear();
-        self.sorted_tags.resize(sets.len(), 0);
-        for &set in sets {
-            let count = &mut self.counts[set as usize];
-            if *count == 0 {
-                self.touched.push(set);
-            }
-            *count += 1;
-        }
-        // Counts become running start offsets, bucket order following
-        // first appearance.
-        let mut next = 0u32;
-        for &set in &self.touched {
-            let count = &mut self.counts[set as usize];
-            let bucket = *count;
-            *count = next;
-            next += bucket;
-        }
-        // Forward scatter: stable, so within a set trace order
-        // survives — the property the equivalence proof leans on.
-        for (i, (&set, &tag)) in sets.iter().zip(tags).enumerate() {
-            let slot = &mut self.counts[set as usize];
-            let pos = *slot as usize;
-            self.order[pos] = i as u32;
-            self.sorted_sets[pos] = set;
-            self.sorted_tags[pos] = tag;
-            *slot += 1;
-        }
-        for &set in &self.touched {
-            self.counts[set as usize] = 0;
-        }
-    }
 }
 
 /// Replacement policy, monomorphized for the block engine: the
@@ -698,17 +507,11 @@ impl<M> SetAssocCache<M> {
     /// ```
     ///
     /// but the probe-armed check and the replacement-policy branch
-    /// run once per block instead of once per event, and events are
-    /// replayed as same-set *runs* whose row, clock, and counters
-    /// live in locals. On geometries past the sort threshold the
-    /// block is first bucketed by set index with a stable counting
-    /// sort, so consecutive probes touch the same `tags`/`stamps`
-    /// rows while they are cache-resident; cache-resident geometries
-    /// keep trace order (sorting would be pure overhead). Within a
-    /// set, events keep trace order either way; victim choice depends
-    /// only on within-set state (per-set eviction counters for
-    /// Random), so hits, misses, evictions, statistics and final
-    /// contents all match per-event replay exactly.
+    /// run once per block instead of once per event, and adjacent
+    /// same-set events are replayed as *runs* whose row, clock, and
+    /// counters live in locals. Events keep trace order, so hits,
+    /// misses, evictions, statistics and final contents all match
+    /// per-event replay exactly.
     ///
     /// When this cache reports set probes and a probe sink is armed,
     /// the block falls back to exact per-event order so the emitted
@@ -749,71 +552,6 @@ impl<M> SetAssocCache<M> {
         self.access_block_with(sets, tags, &mut sink);
     }
 
-    /// Replays a whole set-partitioned trace through a sink: one
-    /// [`Self::block_run`] per run, straight off the presorted
-    /// [`SetRuns`] arrays — no [`BlockScratch`], no per-block
-    /// re-bucketing, policy dispatched once for the entire replay.
-    ///
-    /// Equivalence with per-event replay holds by the same argument
-    /// as [`Self::access_block_with`], taken to its limit (the whole
-    /// trace is one block): within a run events keep trace order, and
-    /// victim choice depends only on within-set state — stamps are
-    /// compared by order, not value, and Random reseeds from the
-    /// set's own eviction counter — so hits, misses, evictions,
-    /// statistics and final contents all match exactly. `sink`
-    /// callbacks receive each event's *original trace index*, which
-    /// is how consumers scatter results back into trace order.
-    ///
-    /// Partitioned replay visits sets out of trace order, so it
-    /// cannot reproduce a per-event probe stream; callers must use
-    /// trace-order replay while a probe sink is armed on a
-    /// set-probe-reporting cache (debug-asserted here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a set index is out of range for the geometry.
-    pub fn access_partitioned_with<S: BlockSink<M>>(&mut self, runs: SetRuns<'_>, sink: &mut S) {
-        debug_assert!(
-            !(self.probed && probe::active()),
-            "partitioned replay cannot reproduce per-event probe streams; \
-             replay in trace order while probes are armed"
-        );
-        match self.replacement {
-            Replacement::Lru => self.process_runs::<LruPolicy, S>(runs, sink),
-            Replacement::Fifo => self.process_runs::<FifoPolicy, S>(runs, sink),
-            Replacement::Random => self.process_runs::<RandomPolicy, S>(runs, sink),
-        }
-    }
-
-    /// [`Self::access_partitioned_with`] with a plain outcome array
-    /// indexed by *original trace position*: misses fill `M::default()`
-    /// metadata and each event records whether it hit, filled an empty
-    /// way, or displaced a line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the largest original index, or
-    /// a set index is out of range for the geometry.
-    pub fn access_partitioned(&mut self, runs: SetRuns<'_>, out: &mut [BlockOutcome])
-    where
-        M: Default,
-    {
-        assert_eq!(runs.len(), out.len(), "runs/out length mismatch");
-        let mut sink = OutcomeSink { out };
-        self.access_partitioned_with(runs, &mut sink);
-    }
-
-    /// The per-run engine, monomorphized per replacement policy.
-    fn process_runs<P: BlockPolicy, S: BlockSink<M>>(&mut self, runs: SetRuns<'_>, sink: &mut S) {
-        for (set, indices, run_tags) in runs.runs() {
-            if let (&[index], &[tag]) = (indices, run_tags) {
-                self.block_single::<P, S>(index as usize, set as usize, tag, sink);
-            } else {
-                self.block_run::<P, S>(set as usize, indices, run_tags, sink);
-            }
-        }
-    }
-
     /// Probe-armed fallback: per-event order, via the exact entry
     /// points unbatched replay uses, so probe event streams are
     /// unchanged by batching.
@@ -832,81 +570,29 @@ impl<M> SetAssocCache<M> {
         }
     }
 
-    /// The bucketed engine, monomorphized per replacement policy.
+    /// The block engine, monomorphized per replacement policy: trace
+    /// order, with runs of adjacent same-set events (spatial locality)
+    /// folded into single row visits.
     fn process_block<P: BlockPolicy, S: BlockSink<M>>(
         &mut self,
         sets: &[u32],
         tags: &[u64],
         sink: &mut S,
     ) {
-        // Scratch is taken out of the struct for the duration of the
-        // block so its arrays and the kernel arrays borrow disjointly.
-        // The constructor installs it and every taker puts it back, so
-        // the `else` arm is unreachable in practice; per-event replay
-        // is a total, allocation-free fallback with identical
-        // semantics.
-        let Some(mut scratch) = self.scratch.take() else {
-            self.block_fallback(sets, tags, sink);
-            return;
-        };
-        if self.tags.len() > SORT_SLOT_THRESHOLD {
-            // Large geometry: bucket by set, then replay per-set runs
-            // in an ascending sweep over the kernel arrays.
-            scratch.bucket(sets, tags);
-            let mut start = 0;
-            let len = scratch.order.len();
-            while start < len {
-                let set = scratch.sorted_sets[start];
-                let mut end = start + 1;
-                while end < len && scratch.sorted_sets[end] == set {
-                    end += 1;
-                }
-                if end == start + 1 {
-                    self.block_single::<P, S>(
-                        scratch.order[start] as usize,
-                        set as usize,
-                        scratch.sorted_tags[start],
-                        sink,
-                    );
-                } else {
-                    self.block_run::<P, S>(
-                        set as usize,
-                        &scratch.order[start..end],
-                        &scratch.sorted_tags[start..end],
-                        sink,
-                    );
-                }
-                start = end;
+        let mut start = 0;
+        while start < sets.len() {
+            let set = sets[start];
+            let mut end = start + 1;
+            while end < sets.len() && sets[end] == set {
+                end += 1;
             }
-        } else {
-            // Cache-resident geometry: trace order, with natural runs
-            // of adjacent same-set events (spatial locality) still
-            // folded into single row visits.
-            if scratch.iota.len() < sets.len() {
-                let from = scratch.iota.len() as u32;
-                scratch.iota.extend(from..sets.len() as u32);
+            if end == start + 1 {
+                self.block_single::<P, S>(start, set as usize, tags[start], sink);
+            } else {
+                self.block_run::<P, S>(start, set as usize, &tags[start..end], sink);
             }
-            let mut start = 0;
-            while start < sets.len() {
-                let set = sets[start];
-                let mut end = start + 1;
-                while end < sets.len() && sets[end] == set {
-                    end += 1;
-                }
-                if end == start + 1 {
-                    self.block_single::<P, S>(start, set as usize, tags[start], sink);
-                } else {
-                    self.block_run::<P, S>(
-                        set as usize,
-                        &scratch.iota[start..end],
-                        &tags[start..end],
-                        sink,
-                    );
-                }
-                start = end;
-            }
+            start = end;
         }
-        self.scratch = Some(scratch);
     }
 
     /// Replays one isolated event of a block — a run of length one.
@@ -961,18 +647,18 @@ impl<M> SetAssocCache<M> {
         }
     }
 
-    /// Replays one same-set run of a bucketed block.
+    /// Replays one run of adjacent same-set events, the first at block
+    /// index `start`.
     ///
-    /// Bucketing makes every set's events contiguous, so the whole
-    /// run works against one row: the row slices are borrowed once,
-    /// and the clock, occupancy, and hit/eviction counters live in
-    /// locals until a single write-back — per event the loop touches
-    /// only the row, the run's `(index, tag)` pair, and the sink,
+    /// The whole run works against one row: the row slices are
+    /// borrowed once, and the clock, occupancy, and hit/eviction
+    /// counters live in locals until a single write-back — per event
+    /// the loop touches only the row, the run's tag, and the sink,
     /// instead of re-loading kernel fields through `&mut self`.
     fn block_run<P: BlockPolicy, S: BlockSink<M>>(
         &mut self,
+        start: usize,
         set: usize,
-        indices: &[u32],
         run_tags: &[u64],
         sink: &mut S,
     ) {
@@ -986,8 +672,7 @@ impl<M> SetAssocCache<M> {
         let mut set_evictions = self.set_evictions[set];
         let mut hits = 0u64;
         let mut evictions = 0u64;
-        for (&index, &tag) in indices.iter().zip(run_tags) {
-            let index = index as usize;
+        for (index, &tag) in (start..).zip(run_tags) {
             clock += 1;
             if let Some(way) = row_tags[..occ].iter().position(|&t| t == tag) {
                 hits += 1;
@@ -1025,7 +710,7 @@ impl<M> SetAssocCache<M> {
         self.resident += occ - start_occ;
         self.set_evictions[set] = set_evictions;
         self.evictions += evictions;
-        self.stats.record_bulk(hits, indices.len() as u64 - hits);
+        self.stats.record_bulk(hits, run_tags.len() as u64 - hits);
     }
 }
 
@@ -1038,9 +723,6 @@ impl<M> Drop for SetAssocCache<M> {
         crate::pool::recycle_u64(std::mem::take(&mut self.stamps));
         crate::pool::recycle_u32(std::mem::take(&mut self.occ));
         crate::pool::recycle_u32(std::mem::take(&mut self.set_evictions));
-        if let Some(scratch) = self.scratch.take() {
-            crate::pool::recycle_u32(scratch.counts);
-        }
     }
 }
 

@@ -44,9 +44,7 @@ pub mod reference;
 mod stats;
 
 pub use bank::BankedPorts;
-pub use cache::{
-    BlockOutcome, BlockSink, Eviction, Replacement, SetAssocCache, SetRuns, SORT_SLOT_THRESHOLD,
-};
+pub use cache::{BlockOutcome, BlockSink, Eviction, Replacement, SetAssocCache};
 pub use geometry::{CacheGeometry, ConfigError};
 pub use hierarchy::{FetchResult, L2Memory, L2MemoryConfig};
 pub use mshr::{MshrFile, MshrOutcome};

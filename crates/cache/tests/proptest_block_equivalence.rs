@@ -121,7 +121,7 @@ proptest! {
     }
 
     /// Block size 1 degenerates to the legacy path exactly: one event
-    /// per block, bucketing is a no-op, and every observable matches.
+    /// per block, no same-set runs, and every observable matches.
     #[test]
     fn block_size_one_equals_legacy_path(
         sets_log in 0u32..4,
@@ -143,19 +143,18 @@ proptest! {
         assert_equivalent(&batched, &legacy);
     }
 
-    /// Geometries past the kernel's sort threshold (16 K slots) take
-    /// the bucketed path — events replay grouped by set, out of trace
-    /// order — and must still match per-event replay exactly. Raw
-    /// addresses are folded onto a handful of sets so the big
-    /// geometry still sees collisions, evictions, and full sets.
+    /// Large geometries (32K-64K slots, beyond every sweep geometry)
+    /// must match per-event replay exactly. Raw addresses are folded
+    /// onto a handful of sets so the big geometry still sees
+    /// collisions, evictions, and full sets.
     #[test]
-    fn bucketed_large_geometry_matches_per_event_replay(
+    fn large_geometry_matches_per_event_replay(
         assoc_log in 0u32..2,
         policy_index in 0u8..3,
         raws in prop::collection::vec(0u64..LINE_UNIVERSE, 1..400),
         block in 1usize..48,
     ) {
-        // 32768 sets x (1|2) ways: 32K-64K slots, always > threshold.
+        // 32768 sets x (1|2) ways: 32K-64K slots.
         let geom = geometry_from(15, assoc_log);
         let policy = policy_from(policy_index);
         let num_sets = 1u64 << 15;

@@ -44,7 +44,6 @@ use crate::{
 
 /// Accuracy of the MCT over one reference stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyReport {
     /// Oracle-conflict misses the MCT labelled conflict.
     pub conflict: Ratio,
@@ -177,7 +176,7 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// The three-C oracle is *globally* order-sensitive (its shadow
     /// fully-associative cache sees every reference), so it runs
     /// first, sequentially in trace order, into a scratch flag array.
-    /// The MCT cache then replays the same block set-bucketed
+    /// The MCT cache then replays the same block
     /// ([`ClassifyingCache::access_parts_block`]) — its state is
     /// disjoint from the oracle's — and the two outcome arrays are
     /// merged index by index, which reproduces the per-event report
@@ -210,7 +209,7 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// [`Self::observe_block`] with the three-C verdicts supplied by
     /// the caller, one per reference in trace order (see
     /// [`Self::observe_parts_with_truth`]). The MCT cache replays the
-    /// block set-bucketed exactly as in [`Self::observe_block`] and
+    /// block exactly as in [`Self::observe_block`] and
     /// the verdicts are merged index by index; an armed probe sink
     /// gets the per-event fallback with the same verdicts.
     ///
@@ -258,61 +257,6 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
             self.oracle_conflict
                 .push(self.oracle.observe(line).is_conflict());
         }
-    }
-
-    /// Observes a whole set-partitioned trace
-    /// ([`Self::observe_parts`] in bulk — the decompose-time-sorted
-    /// replay path).
-    ///
-    /// `sets`/`tags` are the trace-order arrays (the oracle's shadow
-    /// fully-associative cache is globally order-sensitive, so it
-    /// replays them sequentially first); `runs` is the same trace
-    /// regrouped by set, which the MCT cache consumes run-by-run
-    /// ([`ClassifyingCache::access_parts_partitioned`]) with results
-    /// scattered back to trace order through the stored original
-    /// indices. The merged report is identical to per-event replay.
-    ///
-    /// With a probe sink armed the whole trace falls back to
-    /// per-event [`Self::observe_parts`] over the trace-order arrays
-    /// (partitioned replay cannot reproduce the per-event probe
-    /// stream), so emitted events stay byte-identical to unbatched
-    /// replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace-order arrays and `runs` disagree in
-    /// length, or a set index is out of range for the geometry.
-    pub fn observe_partitioned(
-        &mut self,
-        sets: &[u32],
-        tags: &[u64],
-        runs: cache_model::SetRuns<'_>,
-    ) {
-        assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
-        assert_eq!(
-            sets.len(),
-            runs.len(),
-            "trace-order arrays and partitioned runs disagree in length"
-        );
-        if probe::active() {
-            for (&set, &tag) in sets.iter().zip(tags) {
-                self.observe_parts(set as usize, tag);
-            }
-            return;
-        }
-        self.report.accesses += sets.len() as u64;
-        self.run_owned_oracle(sets, tags);
-        self.classes.clear();
-        self.classes.resize(sets.len(), BlockClass::Hit);
-        // Same borrow split as `observe_block_with_truth`.
-        let mut classes = std::mem::take(&mut self.classes);
-        self.cache.access_parts_partitioned(runs, &mut classes);
-        merge_verdicts(
-            &mut self.report,
-            &classes,
-            self.oracle_conflict.iter().copied(),
-        );
-        self.classes = classes;
     }
 
     /// Observes a whole stream.

@@ -1,7 +1,7 @@
 //! A set-associative cache with an attached Miss Classification Table
 //! and per-line conflict bits.
 
-use cache_model::{BlockSink, CacheGeometry, CacheStats, SetAssocCache, SetRuns};
+use cache_model::{BlockSink, CacheGeometry, CacheStats, SetAssocCache};
 use sim_core::probe;
 use sim_core::LineAddr;
 
@@ -241,13 +241,10 @@ impl<T: EvictionClassifier> ClassifyingCache<T> {
     ///
     /// Equivalent to calling [`Self::access_parts`] per event and
     /// recording `Hit`/`Conflict`/`Capacity`, but the underlying
-    /// kernel replays the block as same-set runs — bucketed by set
-    /// index on large geometries
-    /// ([`SetAssocCache::access_block_with`]) so consecutive probes
-    /// stay on resident rows. The MCT protocol is unchanged: each
-    /// miss is classified against pre-fill state and each eviction is
-    /// recorded — both are per-set operations, so set-bucketed order
-    /// cannot change any classification.
+    /// kernel replays adjacent same-set events as runs
+    /// ([`SetAssocCache::access_block_with`]). The MCT protocol is
+    /// unchanged: each miss is classified against pre-fill state and
+    /// each eviction is recorded, in trace order.
     ///
     /// With a probe sink armed the whole block falls back to
     /// per-event [`Self::access_parts`], keeping the emitted event
@@ -277,35 +274,6 @@ impl<T: EvictionClassifier> ClassifyingCache<T> {
             out,
         };
         self.cache.access_block_with(sets, tags, &mut sink);
-    }
-
-    /// Replays a whole set-partitioned trace
-    /// ([`cache_model::SetRuns`]), scattering each event's
-    /// classification into `out` by *original trace index*.
-    ///
-    /// Equivalent to [`Self::access_parts`] per event in trace order:
-    /// the kernel consumes presorted per-set runs directly
-    /// ([`SetAssocCache::access_partitioned_with`]) and the MCT
-    /// protocol — classify against pre-fill state, record every
-    /// eviction — is per-set, so run order cannot change any
-    /// classification. Partitioned replay cannot reproduce a
-    /// per-event probe stream; callers must fall back to trace-order
-    /// replay while a probe sink is armed (this cache always reports
-    /// set probes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the trace or a set index is
-    /// out of range for the geometry.
-    pub fn access_parts_partitioned(&mut self, runs: SetRuns<'_>, out: &mut [BlockClass]) {
-        assert_eq!(runs.len(), out.len(), "runs/out length mismatch");
-        let mut sink = MctSink {
-            table: &mut self.table,
-            conflict_misses: &mut self.conflict_misses,
-            capacity_misses: &mut self.capacity_misses,
-            out,
-        };
-        self.cache.access_partitioned_with(runs, &mut sink);
     }
 
     /// Classifies a miss on `line` without changing any state.

@@ -3,11 +3,9 @@
 //! [`AccuracyEvaluator::observe_block`] must produce exactly the
 //! classifications, statistics, and accuracy reports of their
 //! per-event counterparts for arbitrary geometries, tag widths,
-//! shadow-directory depths, and (torn) block sizes. The partitioned
-//! entry point ([`AccuracyEvaluator::observe_partitioned`]) carries
-//! the same obligation with the trace pre-grouped by set.
+//! shadow-directory depths, and (torn) block sizes.
 
-use cache_model::{CacheGeometry, SetRuns};
+use cache_model::CacheGeometry;
 use mct::accuracy::AccuracyEvaluator;
 use mct::{BlockClass, ClassifyingCache, ShadowDirectory, TagBits};
 use proptest::prelude::*;
@@ -64,29 +62,6 @@ fn classify_blocked(
         cache.access_parts_block(s, t, o);
     }
     classes
-}
-
-/// The naive stable partition: sort event positions by set with a
-/// stable sort, then build the CSR run directory [`SetRuns`] expects.
-/// Independent of `trace_gen`'s chunked counting sort.
-fn naive_partition(sets: &[u32], tags: &[u64]) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>) {
-    let mut order: Vec<u32> = (0..sets.len() as u32).collect();
-    order.sort_by_key(|&i| sets[i as usize]);
-    let mut dir_sets = Vec::new();
-    let mut dir_starts = Vec::new();
-    let mut indices = Vec::with_capacity(order.len());
-    let mut run_tags = Vec::with_capacity(order.len());
-    for &i in &order {
-        let set = sets[i as usize];
-        if dir_sets.last() != Some(&set) {
-            dir_sets.push(set);
-            dir_starts.push(indices.len() as u32);
-        }
-        indices.push(i);
-        run_tags.push(tags[i as usize]);
-    }
-    dir_starts.push(indices.len() as u32);
-    (dir_sets, dir_starts, indices, run_tags)
 }
 
 proptest! {
@@ -146,65 +121,6 @@ proptest! {
         }
 
         prop_assert_eq!(batched.report(), legacy.report());
-    }
-
-    /// `access_parts_partitioned` scatters each event's class back to
-    /// its trace position and leaves identical statistics behind,
-    /// even though set visits happen out of trace order.
-    #[test]
-    fn classifying_partitioned_matches_access_parts(
-        sets_log in 0u32..5,
-        assoc_log in 0u32..3,
-        tag_index in 0u8..3,
-        raws in prop::collection::vec(0u64..LINE_UNIVERSE, 1..400),
-    ) {
-        let geom = geometry_from(sets_log, assoc_log);
-        let tag_bits = tag_bits_from(tag_index);
-        let (sets, tags) = decompose(&geom, &raws);
-
-        let mut legacy = ClassifyingCache::new(geom, tag_bits);
-        let expected: Vec<BlockClass> = sets
-            .iter()
-            .zip(&tags)
-            .map(|(&set, &tag)| class_of(legacy.access_parts(set as usize, tag)))
-            .collect();
-
-        let (dir_sets, dir_starts, indices, run_tags) = naive_partition(&sets, &tags);
-        let runs = SetRuns::new(&dir_sets, &dir_starts, &indices, &run_tags);
-        let mut partitioned = ClassifyingCache::new(geom, tag_bits);
-        let mut classes = vec![BlockClass::Hit; sets.len()];
-        partitioned.access_parts_partitioned(runs, &mut classes);
-
-        prop_assert_eq!(classes, expected);
-        prop_assert_eq!(*partitioned.stats(), *legacy.stats());
-        prop_assert_eq!(partitioned.class_counts(), legacy.class_counts());
-    }
-
-    /// `observe_partitioned` produces the identical accuracy report —
-    /// oracle agreement included — to the per-event `observe_parts`
-    /// loop over the same trace in original order.
-    #[test]
-    fn evaluator_partitioned_matches_observe_parts(
-        sets_log in 0u32..5,
-        assoc_log in 0u32..3,
-        tag_index in 0u8..3,
-        raws in prop::collection::vec(0u64..LINE_UNIVERSE, 1..400),
-    ) {
-        let geom = geometry_from(sets_log, assoc_log);
-        let tag_bits = tag_bits_from(tag_index);
-        let (sets, tags) = decompose(&geom, &raws);
-
-        let mut legacy = AccuracyEvaluator::new(geom, tag_bits);
-        for (&set, &tag) in sets.iter().zip(&tags) {
-            legacy.observe_parts(set as usize, tag);
-        }
-
-        let (dir_sets, dir_starts, indices, run_tags) = naive_partition(&sets, &tags);
-        let runs = SetRuns::new(&dir_sets, &dir_starts, &indices, &run_tags);
-        let mut partitioned = AccuracyEvaluator::new(geom, tag_bits);
-        partitioned.observe_partitioned(&sets, &tags, runs);
-
-        prop_assert_eq!(partitioned.report(), legacy.report());
     }
 
     /// The block path composes with any [`mct::EvictionClassifier`]:

@@ -42,7 +42,7 @@ const CRASH_EXIT: i32 = 3;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro [--events N] [--threads N] [--bench-json PATH] \
-         [--block-size N] [--stream] [--probe epoch:N|raw] [--probe-out PATH] \
+         [--stream] [--probe epoch:N|raw] [--probe-out PATH] \
          [--trace-out PATH] [--trace-format jsonl|chrome] [--trace-logical-clock] \
          [--fault SEED:RATE] [--fault-persistent] \
          [--checkpoint PATH] [--resume] [--crash-after N] \
@@ -52,8 +52,6 @@ fn usage() -> ExitCode {
          --events N       trace events per workload (default {})\n\
          --threads N      worker-thread cap (1 = fully serial; default: all cores)\n\
          --bench-json P   write machine-readable throughput telemetry to P\n\
-         --block-size N   event-block size for decomposed replay (default {};\n\
-         \u{20}                1 = per-event replay)\n\
          --stream         chunked generator replay, O(chunk) memory per cell\n\
          \u{20}                (bypasses the trace arenas; output is byte-identical)\n\
          --probe MODE     collect per-cell probe data: epoch:N (fold into\n\
@@ -92,7 +90,6 @@ fn usage() -> ExitCode {
          ablation  shadow-directory depth / CPU window / buffer size sweeps\n\
          all    everything (default)",
         experiments::DEFAULT_EVENTS,
-        experiments::DEFAULT_REPLAY_BLOCK,
     );
     ExitCode::FAILURE
 }
@@ -111,7 +108,6 @@ fn main() -> ExitCode {
         sim_core::parallel::set_max_threads(threads);
     }
     experiments::probe::configure(opts.probe);
-    experiments::set_replay_block_size(opts.block_size);
     experiments::set_stream_mode(opts.stream);
     if opts.trace_out.is_some() {
         tracing::arm(opts.trace_logical_clock);
@@ -315,19 +311,6 @@ fn main() -> ExitCode {
     for figure in &report.figures {
         eprintln!("{}", figure.summary_line());
     }
-    // The chosen block size rides along on stderr: the bench-repro/2
-    // schema is pinned by goldens, so the knob is recorded here (and
-    // in EXPERIMENTS.md) rather than in the JSON.
-    eprintln!(
-        "[bench] replay block size {}{}{}",
-        opts.block_size,
-        if opts.block_size == 1 {
-            " (per-event)"
-        } else {
-            ""
-        },
-        if opts.stream { ", streaming" } else { "" },
-    );
     eprintln!(
         "[bench] total    {:>8.2}s  {:.1}M events/s  ({} events, {} worker threads)",
         report.total_wall_seconds,

@@ -182,9 +182,6 @@ pub struct Options {
     pub threads: Option<usize>,
     /// Where to write the machine-readable bench report, if anywhere.
     pub bench_json: Option<PathBuf>,
-    /// Event-block size for decomposed replay (`--block-size`,
-    /// strictly positive; 1 = legacy per-event replay).
-    pub block_size: usize,
     /// Probe mode (`--probe epoch:N` / `--probe raw`), if any.
     pub probe: Option<ProbeMode>,
     /// Where the probe JSONL goes (defaults to `OBS_repro.jsonl` when
@@ -234,7 +231,6 @@ where
     let mut events = crate::DEFAULT_EVENTS;
     let mut threads = None;
     let mut bench_json = None;
-    let mut block_size = crate::DEFAULT_REPLAY_BLOCK;
     let mut probe = None;
     let mut probe_out: Option<PathBuf> = None;
     let mut fault: Option<FaultSpec> = None;
@@ -280,16 +276,6 @@ where
             "--bench-json" => {
                 let value = args.next().ok_or("--bench-json needs a path")?;
                 bench_json = Some(PathBuf::from(value));
-            }
-            "--block-size" => {
-                let value = args.next().ok_or("--block-size needs a value")?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("--block-size needs a positive integer, got `{value}`"))?;
-                if n == 0 {
-                    return Err("--block-size must be at least 1 (1 = per-event replay)".to_owned());
-                }
-                block_size = n;
             }
             "--probe" => {
                 let value = args.next().ok_or("--probe needs `epoch:N` or `raw`")?;
@@ -407,7 +393,6 @@ where
         events,
         threads,
         bench_json,
-        block_size,
         probe,
         probe_out,
         fault,
@@ -483,25 +468,8 @@ mod tests {
         assert_eq!(opts.targets, Target::ALL.to_vec());
         assert_eq!(opts.threads, None);
         assert_eq!(opts.bench_json, None);
-        assert_eq!(opts.block_size, crate::DEFAULT_REPLAY_BLOCK);
         assert_eq!(opts.probe, None);
         assert_eq!(opts.probe_out, None);
-    }
-
-    #[test]
-    fn parses_block_size() {
-        let opts = parse(&["--block-size", "256", "fig1"]).unwrap();
-        assert_eq!(opts.block_size, 256);
-        // 1 selects the legacy per-event path.
-        assert_eq!(parse(&["--block-size", "1"]).unwrap().block_size, 1);
-    }
-
-    #[test]
-    fn rejects_bad_block_size() {
-        let err = parse(&["--block-size", "0"]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        assert!(parse(&["--block-size", "big"]).is_err());
-        assert!(parse(&["--block-size"]).is_err());
     }
 
     #[test]
@@ -510,10 +478,6 @@ mod tests {
         let opts = parse(&["--stream", "fig1"]).unwrap();
         assert!(opts.stream);
         assert_eq!(opts.targets, vec![Target::Fig1]);
-        // Composes with the other replay knobs.
-        let opts = parse(&["--stream", "--block-size", "256"]).unwrap();
-        assert!(opts.stream);
-        assert_eq!(opts.block_size, 256);
     }
 
     #[test]

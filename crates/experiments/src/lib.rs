@@ -24,9 +24,8 @@
 //! every cell, so no driver pays trace synthesis more than once. The
 //! accuracy figures go one step further with [`replay_for`]: the
 //! per-event `(set, tag)` split is precomputed once per (workload,
-//! geometry) — set-partitioned at decomposition time on geometries
-//! past the kernel's sort threshold — and streamed into the cache
-//! kernel's batched entry points, and the 3C ground truth is read off
+//! geometry) and streamed into the cache kernel's batched entry
+//! points, and the 3C ground truth is read off
 //! per-event LRU stack distances memoized once per (workload, line
 //! size) ([`distances_for`]) instead of a per-cell oracle pass. Under
 //! `repro --stream`
@@ -75,37 +74,28 @@ pub mod tracing;
 
 pub use table::Table;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cache_model::CacheGeometry;
 use trace_gen::arena::{ArenaKey, TraceArena};
-use trace_gen::decomposed::{DecomposedArena, DecomposedTrace, PartitionedTrace};
+use trace_gen::decomposed::{DecomposedArena, DecomposedTrace};
 use trace_gen::TraceEvent;
 
 /// Default events per workload for full experiment runs.
 pub const DEFAULT_EVENTS: usize = 300_000;
 
-/// Default event-block size for decomposed replay, picked by the
-/// `substrate/cache_kernel` block-size sweep (EXPERIMENTS.md, "Cache
-/// kernel round two"): large enough to amortize bucketing, small
-/// enough that a block's `(set, tag)` pairs and the bucketing scratch
-/// stay L1/L2-resident alongside the kernel arrays.
-pub const DEFAULT_REPLAY_BLOCK: usize = 1024;
+/// Event-block size for decomposed replay: large enough to amortize
+/// the kernel's per-block dispatch, small enough that a block's
+/// `(set, tag)` pairs and verdicts stay L1/L2-resident alongside the
+/// kernel arrays. Block 1024 beat per-event replay on the `accuracy`
+/// benchmark (EXPERIMENTS.md, "Kernel diet").
+const REPLAY_BLOCK: usize = 1024;
 
-/// The process-wide replay block size (`repro --block-size`).
-static REPLAY_BLOCK: AtomicUsize = AtomicUsize::new(DEFAULT_REPLAY_BLOCK);
-
-/// Sets the event-block size used by [`replay_accuracy`]. A size of 1
-/// selects the legacy per-event path; zero is clamped to 1.
-pub fn set_replay_block_size(block: usize) {
-    REPLAY_BLOCK.store(block.max(1), Ordering::Relaxed);
-}
-
-/// The event-block size [`replay_accuracy`] currently uses.
+/// The event-block size [`replay_accuracy`] replays in.
 #[must_use]
-pub fn replay_block_size() -> usize {
-    REPLAY_BLOCK.load(Ordering::Relaxed)
+pub const fn replay_block_size() -> usize {
+    REPLAY_BLOCK
 }
 
 /// Whether drivers stream workload generators chunk-by-chunk instead
@@ -138,8 +128,8 @@ pub fn stream_mode() -> bool {
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
 /// One accuracy driver's replay input: either arena-resident forms
-/// (trace order, plus the set-partitioned form when the geometry
-/// clears the sort threshold) or a streamed generator.
+/// (the decomposed trace and its stack distances) or a streamed
+/// generator.
 #[derive(Debug, Clone)]
 pub enum ReplayTrace {
     /// Arena-memoized forms, shared across cells.
@@ -150,11 +140,6 @@ pub enum ReplayTrace {
         /// trace ([`distances_for`]): the three-C ground truth of
         /// every capacity at once.
         distances: Arc<[u32]>,
-        /// The decompose-time set-partitioned form, present only when
-        /// the geometry is past
-        /// [`cache_model::SORT_SLOT_THRESHOLD`] (cache-resident
-        /// geometries replay faster in trace order).
-        partitioned: Option<Arc<PartitionedTrace>>,
     },
     /// Chunked generator replay (`repro --stream`): nothing resident
     /// beyond one chunk.
@@ -186,9 +171,7 @@ impl ReplayTrace {
 }
 
 /// The replay input for `(workload, SEED, events)` against `geom`:
-/// the arena-memoized decomposed trace and its stack-distance memo —
-/// plus the set-partitioned form when `geom` is past
-/// [`cache_model::SORT_SLOT_THRESHOLD`] and block replay is enabled —
+/// the arena-memoized decomposed trace and its stack-distance memo,
 /// or a streamed generator under [`stream_mode`]. This is what fig1,
 /// fig2, the MRC family and the shadow-depth ablation feed
 /// [`replay_accuracy`]. The distance memo is built here, on the first
@@ -208,86 +191,41 @@ pub fn replay_for(
     }
     let trace = decomposed_for(workload, geom, events);
     let distances = distances_for(workload, geom, events);
-    let partitioned = (replay_block_size() > 1
-        && geom.num_lines() > cache_model::SORT_SLOT_THRESHOLD)
-        .then(|| {
-            DecomposedArena::global().get_or_partition(
-                ArenaKey::new(workload.name(), SEED, events),
-                geom.line_size(),
-                geom.set_bits(),
-                || trace_for(workload, events),
-            )
-        });
-    ReplayTrace::Arena {
-        trace,
-        distances,
-        partitioned,
-    }
+    ReplayTrace::Arena { trace, distances }
 }
 
 /// The shared replay loop of the accuracy drivers (fig1, fig2, the
 /// MRC cross-check cells, the shadow-depth ablation): streams the
 /// replay input through an [`mct::accuracy::AccuracyEvaluator`].
 ///
-/// Arena inputs replay in event blocks of [`replay_block_size`]
-/// pairs (per-event loop at block size 1) and take their three-C
-/// verdicts from the stack-distance memo — a miss is a conflict miss
-/// iff its distance is below the geometry's line capacity — so no
-/// cell runs an oracle of its own. Past-threshold geometries carry
-/// the decompose-time set-partitioned form and replay whole per-set
-/// runs against the evaluator's owned oracle. Stream inputs run the
-/// chunked generator pipeline, with the owned oracle since nothing is
-/// resident to memoize. Results are identical on every path (each is
-/// differential-tested against per-event replay); the variants exist
-/// purely for throughput and memory. When a probe sink is armed,
-/// every path falls back to per-event trace order so the emitted
-/// event stream is byte-identical to unbatched replay.
+/// Both inputs replay in event blocks of [`replay_block_size`] pairs.
+/// Arena inputs take their three-C verdicts from the stack-distance
+/// memo — a miss is a conflict miss iff its distance is below the
+/// geometry's line capacity — so no cell runs an oracle of its own.
+/// Stream inputs run the chunked generator pipeline, with the owned
+/// oracle since nothing is resident to memoize. Results are identical
+/// on both (block replay is differential-tested against per-event
+/// replay); the stream exists purely for memory. When a probe sink is
+/// armed, blocks fall back to per-event order so the emitted event
+/// stream is byte-identical to unbatched replay.
 pub fn replay_accuracy<T: mct::EvictionClassifier>(
     trace: &ReplayTrace,
     eval: &mut mct::accuracy::AccuracyEvaluator<T>,
 ) {
     let block = replay_block_size();
     match trace {
-        ReplayTrace::Arena {
-            trace,
-            distances,
-            partitioned,
-        } => {
-            if let Some(part) = partitioned {
-                if !sim_core::probe::active() {
-                    let _span = sim_core::span::enter("replay_partitioned");
-                    sim_core::span::add_events(trace.len() as u64);
-                    let runs = cache_model::SetRuns::new(
-                        part.dir_sets(),
-                        part.dir_starts(),
-                        part.indices(),
-                        part.tags(),
-                    );
-                    eval.observe_partitioned(trace.sets(), trace.tags(), runs);
-                    return;
-                }
-                // Armed probes need per-event trace order; fall
-                // through to the trace-order paths below.
-            }
+        ReplayTrace::Arena { trace, distances } => {
+            let _span = sim_core::span::enter("replay_block");
+            sim_core::span::add_events(trace.len() as u64);
             let capacity = eval.cache().geometry().num_lines() as u64;
-            if block <= 1 {
-                let _span = sim_core::span::enter("replay_events");
-                sim_core::span::add_events(trace.len() as u64);
-                for ((set, tag), &d) in trace.iter().zip(distances.iter()) {
-                    eval.observe_parts_with_truth(set as usize, tag, ::mrc::fits(d, capacity));
-                }
-            } else {
-                let _span = sim_core::span::enter("replay_block");
-                sim_core::span::add_events(trace.len() as u64);
-                let blocks = trace
-                    .sets()
-                    .chunks(block)
-                    .zip(trace.tags().chunks(block))
-                    .zip(distances.chunks(block));
-                for ((sets, tags), d) in blocks {
-                    let verdicts = d.iter().map(|&d| ::mrc::fits(d, capacity));
-                    eval.observe_block_with_truth(sets, tags, verdicts);
-                }
+            let blocks = trace
+                .sets()
+                .chunks(block)
+                .zip(trace.tags().chunks(block))
+                .zip(distances.chunks(block));
+            for ((sets, tags), d) in blocks {
+                let verdicts = d.iter().map(|&d| ::mrc::fits(d, capacity));
+                eval.observe_block_with_truth(sets, tags, verdicts);
             }
         }
         ReplayTrace::Stream {
@@ -318,14 +256,8 @@ pub fn replay_accuracy<T: mct::EvictionClassifier>(
                     sets[i] = (line & mask) as u32;
                     tags[i] = line >> set_bits;
                 }
-                if block <= 1 {
-                    for (&set, &tag) in sets[..n].iter().zip(&tags[..n]) {
-                        eval.observe_parts(set as usize, tag);
-                    }
-                } else {
-                    for (s, t) in sets[..n].chunks(block).zip(tags[..n].chunks(block)) {
-                        eval.observe_block(s, t);
-                    }
+                for (s, t) in sets[..n].chunks(block).zip(tags[..n].chunks(block)) {
+                    eval.observe_block(s, t);
                 }
                 left -= n;
             }

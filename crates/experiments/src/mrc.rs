@@ -138,8 +138,7 @@ fn replay_mrc(trace: &ReplayTrace, mut record: impl FnMut(&[u32], &[u64])) {
     sim_core::span::add_events(trace.len() as u64);
     match trace {
         ReplayTrace::Arena { trace, .. } => {
-            let block = crate::replay_block_size().max(1);
-            trace.for_each_block(block, record);
+            trace.for_each_block(crate::replay_block_size(), record);
         }
         ReplayTrace::Stream {
             workload,

@@ -20,8 +20,7 @@
 //! * one `{"type":"span",…}` line per recorded span, grouped by scope
 //!   in the drain order (scope kind, target, label);
 //! * an optional `{"type":"metrics",…}` record (real-clock runs only):
-//!   arena and decomposed-arena hit/miss counts (including the
-//!   set-partitioned form's hits/misses and resident bytes), pool
+//!   arena and decomposed-arena hit/miss counts, pool
 //!   alloc/reuse/recycle counts, per-worker scheduler tallies, fault
 //!   injection/exhaustion and degraded-cell counts;
 //! * a `{"type":"totals",…}` footer.
@@ -111,12 +110,6 @@ pub struct MetricsSnapshot {
     pub decomposed_hits: u64,
     /// Decomposed-arena decompositions.
     pub decomposed_misses: u64,
-    /// Partitioned-form requests served from a memoized partition.
-    pub partitioned_hits: u64,
-    /// Partitioned-form requests that ran the counting sort.
-    pub partitioned_misses: u64,
-    /// Heap bytes of memoized partitioned traces resident.
-    pub partitioned_resident_bytes: u64,
     /// Kernel array-pool traffic.
     pub pool: cache_model::pool::PoolStats,
     /// Per-worker scheduler tallies, sorted by worker id.
@@ -136,15 +129,11 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn capture(degraded: u64) -> Self {
         let (decomposed_hits, decomposed_misses) = DecomposedArena::global().stats();
-        let partitioned = DecomposedArena::global().partitioned_stats();
         let fault = sim_core::fault::stats();
         MetricsSnapshot {
             arena: TraceArena::global().stats(),
             decomposed_hits,
             decomposed_misses,
-            partitioned_hits: partitioned.hits,
-            partitioned_misses: partitioned.misses,
-            partitioned_resident_bytes: partitioned.resident_bytes,
             pool: cache_model::pool::stats(),
             workers: sim_core::parallel::worker_tallies(),
             fault_injected: fault.injected,
@@ -189,12 +178,8 @@ fn metrics_line(m: &MetricsSnapshot) -> String {
     );
     let _ = write!(
         line,
-        "\"decomposed\":{{\"hits\":{},\"misses\":{},\"partitioned\":{{\"hits\":{},\"misses\":{},\"resident_bytes\":{}}}}},",
-        m.decomposed_hits,
-        m.decomposed_misses,
-        m.partitioned_hits,
-        m.partitioned_misses,
-        m.partitioned_resident_bytes,
+        "\"decomposed\":{{\"hits\":{},\"misses\":{}}},",
+        m.decomposed_hits, m.decomposed_misses,
     );
     let _ = write!(
         line,

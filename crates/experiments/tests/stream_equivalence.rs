@@ -1,13 +1,13 @@
-//! The PR's two replay-mode guarantees, end to end:
+//! Two replay guarantees, end to end:
 //!
 //! * **stream vs arena** — `repro --stream` pipes each workload
 //!   generator through the chunked constant-memory pipeline and must
 //!   render figure reports byte-identical to arena replay, at any
 //!   worker-thread count;
-//! * **partitioned vs trace order** — above
-//!   [`cache_model::SORT_SLOT_THRESHOLD`] the drivers replay the
-//!   memoized set-partitioned form, which must produce the exact
-//!   accuracy report of per-event trace-order replay.
+//! * **large geometry vs per event** — on a geometry far larger than
+//!   any sweep's (4 MB, 64K lines) the drivers' block replay must
+//!   produce the exact accuracy report of per-event trace-order
+//!   replay.
 //!
 //! Everything lives in ONE `#[test]` because stream mode
 //! ([`experiments::set_stream_mode`]) and the worker-thread cap
@@ -20,7 +20,7 @@ use mct::accuracy::AccuracyEvaluator;
 use mct::TagBits;
 
 #[test]
-fn stream_and_partitioned_replay_match_arena_trace_order() {
+fn stream_and_large_geometry_replay_match_arena_trace_order() {
     const EVENTS: usize = 3_000;
 
     // Arena-mode reference reports, serial.
@@ -71,31 +71,20 @@ fn stream_and_partitioned_replay_match_arena_trace_order() {
         "chunked streaming must match arena replay across chunk seams"
     );
 
-    // Above the sort threshold `replay_for` hands back the memoized
-    // partitioned form; its report must equal per-event trace-order
-    // replay of the same decomposed trace.
+    // A geometry far past every sweep's: the drivers' replay must
+    // equal per-event trace-order replay of the same decomposed trace.
     let mrc_geom = CacheGeometry::new(4 * 1024 * 1024, 2, 64).unwrap();
-    assert!(mrc_geom.num_lines() > cache_model::SORT_SLOT_THRESHOLD);
     let replay = experiments::replay_for(&w, &mrc_geom, EVENTS);
-    match &replay {
-        experiments::ReplayTrace::Arena { partitioned, .. } => {
-            assert!(
-                partitioned.is_some(),
-                "above-threshold geometry must carry the partitioned form"
-            );
-        }
-        experiments::ReplayTrace::Stream { .. } => panic!("arena mode expected"),
-    }
-    let mut via_partitioned = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
-    experiments::replay_accuracy(&replay, &mut via_partitioned);
+    let mut via_replay = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
+    experiments::replay_accuracy(&replay, &mut via_replay);
     let decomposed = experiments::decomposed_for(&w, &mrc_geom, EVENTS);
     let mut via_events = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
     for (set, tag) in decomposed.iter() {
         via_events.observe_parts(set as usize, tag);
     }
     assert_eq!(
-        via_partitioned.report(),
+        via_replay.report(),
         via_events.report(),
-        "partitioned replay must match per-event trace-order replay"
+        "large-geometry replay must match per-event trace-order replay"
     );
 }

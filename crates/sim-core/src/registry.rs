@@ -70,8 +70,7 @@ pub fn canonical_schema(family: &str) -> Option<&'static str> {
 /// `obs verify-trace` re-checks emitted streams.
 ///
 /// `arena_` marks warm-up: the trace arena's `arena_materialize`, the
-/// decomposed arena's `arena_decompose` and `arena_partition`, and the
-/// stack-distance memo's `arena_distances`, all opened as `arena`
+/// decomposed arena's `arena_decompose`, and the stack-distance memo's `arena_distances`, all opened as `arena`
 /// subsystem scopes apart from the figure cells they serve.
 pub const SPAN_NAME_PREFIXES: [&str; 8] = [
     "arena_", "cell_", "fault_", "fig_", "probe_", "replay_", "sched_", "sweep_",
@@ -111,25 +110,21 @@ pub fn bench_group_registered(name: &str) -> bool {
 /// a multi-hour sweep, so simlint's graph rules (`transitive-panic`,
 /// `hot-path-alloc`) walk the workspace call graph starting here.
 ///
-/// Registration is by function name, not path: the kernel's batched,
-/// partitioned, and per-event forms all funnel through these (the
+/// Registration is by function name, not path: the kernel's batched
+/// and per-event forms all funnel through these (the
 /// accuracy sweeps through the `*_with_truth` forms, which take their
 /// three-C verdicts from the stack-distance memo), and a
 /// new crate that defines a function with one of these names opts
 /// straight into the hot-path contract.
-pub const HOT_ENTRY_POINTS: [&str; 16] = [
+pub const HOT_ENTRY_POINTS: [&str; 12] = [
     "access_block",
     "access_block_with",
-    "access_partitioned",
-    "access_partitioned_with",
     "access_parts",
     "access_parts_block",
-    "access_parts_partitioned",
     "fill_at",
     "fill_parts",
     "observe_block",
     "observe_block_with_truth",
-    "observe_partitioned",
     "observe_parts",
     "observe_parts_with_truth",
     "peek_at",
@@ -176,7 +171,7 @@ mod tests {
 
     #[test]
     fn prefix_predicates() {
-        assert!(span_name_registered("replay_partitioned"));
+        assert!(span_name_registered("replay_block"));
         assert!(span_name_registered("arena_distances"));
         assert!(!span_name_registered("mystery_phase"));
         assert!(bench_group_registered("substrate/cache_kernel"));
@@ -188,7 +183,7 @@ mod tests {
     fn entry_points_cover_the_kernel_and_mct_forms() {
         for name in [
             "access_block",
-            "observe_partitioned",
+            "observe_block",
             "observe_block_with_truth",
             "fill_at",
         ] {

@@ -514,17 +514,16 @@ mod tests {
         assert_eq!(worker(), 3);
         set_worker(0);
 
-        // Name registry. The partitioned-replay pipeline's span names
-        // are pinned here so a prefix change cannot silently
-        // unregister them: `arena_partition` (decompose-time counting
-        // sort), `replay_partitioned` (per-set-run replay), and
-        // `replay_stream` (chunked generator replay); likewise the
-        // stack-distance memo build, `arena_distances`, which the
-        // accuracy drivers' ground truth is read from.
+        // Name registry. The replay pipeline's span names are pinned
+        // here so a prefix change cannot silently unregister them:
+        // `replay_block` (arena block replay), `replay_stream`
+        // (chunked generator replay), `arena_decompose` (the
+        // decomposed arena's build) and `arena_distances` (the
+        // stack-distance memo build the accuracy drivers' ground
+        // truth is read from).
         assert!(name_registered("replay_block"));
-        assert!(name_registered("arena_partition"));
+        assert!(name_registered("arena_decompose"));
         assert!(name_registered("arena_distances"));
-        assert!(name_registered("replay_partitioned"));
         assert!(name_registered("replay_stream"));
         assert!(!name_registered("my_phase"));
     }

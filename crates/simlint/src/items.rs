@@ -520,7 +520,10 @@ fn parse_file(file: usize, lines: &[String], mask: &[bool], fns: &mut Vec<FnDef>
                     Mode::Code => {}
                 }
                 match ident {
-                    "impl" => {
+                    // Inside a pending signature `impl` is an
+                    // argument or return type (`f: impl Fn()`), not
+                    // an impl block header.
+                    "impl" if pending.is_none() => {
                         mode = Mode::ImplHeader(String::new());
                         continue;
                     }
@@ -836,6 +839,23 @@ mod tests {
         assert_eq!(w.fns[0].calls[0].name, "inner");
         assert_eq!(w.fns[0].calls[0].qual, Qual::Free);
         assert_eq!(w.fns[1].body, (5, 7));
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_is_not_an_impl_block() {
+        let src = "pub struct Eval;\n\
+                   impl Eval {\n    pub fn observe(&mut self, v: impl Iterator<Item = bool>) {\n        tally(v);\n    }\n\
+                   \x20   fn verdicts(&self) -> impl Iterator<Item = bool> {\n        none()\n    }\n}\n";
+        let w = ws(&[("crates/x/src/lib.rs", src)]);
+        let defs: Vec<(&str, Option<&str>, usize)> = w
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.owner.as_deref(), f.calls.len()))
+            .collect();
+        assert_eq!(
+            defs,
+            [("observe", Some("Eval"), 1), ("verdicts", Some("Eval"), 1)]
+        );
     }
 
     #[test]

@@ -359,7 +359,8 @@ fn apply_waivers(
 }
 
 /// Whether a path is test/bench/example context in its entirety.
-fn test_context_path(path: &str) -> bool {
+#[must_use]
+pub fn test_context_path(path: &str) -> bool {
     path.starts_with("tests/")
         || path.contains("/tests/")
         || path.contains("/benches/")

@@ -125,6 +125,33 @@ fn workspace_self_check_is_clean() {
 }
 
 #[test]
+fn every_hot_entry_point_names_a_workspace_fn() {
+    // The graph rules start their walks at the registered names; a
+    // name no non-test function carries makes those walks silently
+    // start nowhere, which no lint rule reports.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = match simlint::workspace_files(&root) {
+        Ok(files) => files,
+        Err(err) => panic!("workspace walk failed: {err}"),
+    };
+    let mut ws = simlint::items::Workspace::new();
+    for (rel, abs) in &files {
+        let source = std::fs::read_to_string(abs).unwrap_or_else(|e| panic!("read {rel}: {e}"));
+        let scrubbed = simlint::lexer::scrub(&source);
+        let mask = simlint::test_line_mask(&scrubbed.lines, simlint::test_context_path(rel));
+        ws.add_file(rel, &scrubbed.lines, &mask);
+    }
+    let stale: Vec<&str> = sim_core::registry::HOT_ENTRY_POINTS
+        .into_iter()
+        .filter(|name| ws.defs_named(name).is_empty())
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "HOT_ENTRY_POINTS names no workspace fn defines: {stale:?}"
+    );
+}
+
+#[test]
 fn walker_skips_fixtures_vendor_and_target() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let files = match simlint::workspace_files(&root) {

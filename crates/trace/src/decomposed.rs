@@ -160,238 +160,6 @@ impl DecomposedTrace {
     }
 }
 
-/// Events per chunk of the parallel partitioning pass. Chunk
-/// boundaries are fixed by this constant — never by thread count — so
-/// the merged result is identical whether one worker or sixteen
-/// bucketed the chunks.
-const PARTITION_CHUNK: usize = 64 * 1024;
-
-/// Traces shorter than this are partitioned on the calling thread;
-/// chunking overhead only pays for itself once there are at least two
-/// full chunks to hand out.
-const PARALLEL_PARTITION_MIN: usize = 2 * PARTITION_CHUNK;
-
-/// A [`DecomposedTrace`] regrouped by set: one contiguous
-/// `(original_index, tag)` run per touched set, plus a directory of
-/// touched sets in ascending order.
-///
-/// The layout is CSR-style: run `k` covers set `dir_sets[k]` and
-/// occupies `indices[dir_starts[k]..dir_starts[k+1]]` (and the same
-/// range of `tags`). Within a run, events keep trace order — the
-/// partition is a *stable* sort by set, so replaying whole runs
-/// through a per-set-deterministic kernel reproduces per-event replay
-/// exactly (the cache crate's `access_partitioned` relies on this).
-/// Original trace indices are stored so consumers can scatter per-run
-/// results back into trace order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionedTrace {
-    /// Touched sets, ascending.
-    dir_sets: Box<[u32]>,
-    /// CSR offsets: run `k` spans `dir_starts[k]..dir_starts[k + 1]`.
-    dir_starts: Box<[u32]>,
-    /// Original trace index of each event, grouped by set.
-    indices: Box<[u32]>,
-    /// Tags, parallel to `indices`.
-    tags: Box<[u64]>,
-    set_bits: u32,
-}
-
-/// One chunk's locally-bucketed events: the same CSR shape as the
-/// final [`PartitionedTrace`], covering only that chunk's slice.
-struct ChunkBuckets {
-    dir_sets: Vec<u32>,
-    dir_starts: Vec<u32>,
-    indices: Vec<u32>,
-    tags: Vec<u64>,
-}
-
-/// Stable counting sort of one event slice into per-set buckets.
-/// `base` is the slice's offset into the whole trace, so stored
-/// indices are global.
-fn bucket_chunk(sets: &[u32], tags: &[u64], base: u32, num_sets: usize) -> ChunkBuckets {
-    let mut counts = vec![0u32; num_sets];
-    for &set in sets {
-        counts[set as usize] += 1;
-    }
-    let mut dir_sets = Vec::new();
-    let mut dir_starts = Vec::with_capacity(16);
-    dir_starts.push(0u32);
-    let mut offset = 0u32;
-    for (set, count) in counts.iter_mut().enumerate() {
-        if *count > 0 {
-            dir_sets.push(set as u32);
-            let start = offset;
-            offset += *count;
-            dir_starts.push(offset);
-            // Repurpose the slot as the running write cursor.
-            *count = start;
-        }
-    }
-    let mut indices = vec![0u32; sets.len()];
-    let mut out_tags = vec![0u64; sets.len()];
-    for (i, (&set, &tag)) in sets.iter().zip(tags).enumerate() {
-        let pos = counts[set as usize] as usize;
-        counts[set as usize] += 1;
-        indices[pos] = base + i as u32;
-        out_tags[pos] = tag;
-    }
-    ChunkBuckets {
-        dir_sets,
-        dir_starts,
-        indices,
-        tags: out_tags,
-    }
-}
-
-impl PartitionedTrace {
-    /// Partitions a decomposed trace by set with a single stable
-    /// counting sort. Traces of at least [`PARALLEL_PARTITION_MIN`]
-    /// events are bucketed in fixed [`PARTITION_CHUNK`]-event chunks
-    /// on [`sim_core::parallel`] and merged per set in chunk order,
-    /// which reconstructs the exact serial stable order — the result
-    /// is byte-identical at any thread count.
-    #[must_use]
-    pub fn partition(trace: &DecomposedTrace) -> Self {
-        assert!(
-            u32::try_from(trace.len()).is_ok(),
-            "partitioned traces index events as u32"
-        );
-        let num_sets = 1usize << trace.set_bits;
-        let chunks = if trace.len() >= PARALLEL_PARTITION_MIN {
-            let ranges: Vec<(usize, usize)> = (0..trace.len())
-                .step_by(PARTITION_CHUNK)
-                .map(|start| (start, (start + PARTITION_CHUNK).min(trace.len())))
-                .collect();
-            sim_core::parallel::par_map(ranges, |(start, end)| {
-                bucket_chunk(
-                    &trace.sets[start..end],
-                    &trace.tags[start..end],
-                    start as u32,
-                    num_sets,
-                )
-            })
-        } else {
-            vec![bucket_chunk(&trace.sets, &trace.tags, 0, num_sets)]
-        };
-        Self::merge(&chunks, trace.len(), trace.set_bits)
-    }
-
-    /// Merges per-chunk buckets into one CSR form: sets ascending,
-    /// and within a set each chunk's segment appended in chunk order
-    /// (chunks cover the trace in order, so this preserves the stable
-    /// within-set trace order).
-    fn merge(chunks: &[ChunkBuckets], len: usize, set_bits: u32) -> Self {
-        let mut dir_sets = Vec::new();
-        let mut dir_starts = Vec::with_capacity(16);
-        dir_starts.push(0u32);
-        let mut indices = Vec::with_capacity(len);
-        let mut tags = Vec::with_capacity(len);
-        let mut cursors = vec![0usize; chunks.len()];
-        loop {
-            let mut set = u32::MAX;
-            let mut touched = false;
-            for (chunk, &cursor) in chunks.iter().zip(&cursors) {
-                if let Some(&s) = chunk.dir_sets.get(cursor) {
-                    set = set.min(s);
-                    touched = true;
-                }
-            }
-            if !touched {
-                break;
-            }
-            dir_sets.push(set);
-            for (chunk, cursor) in chunks.iter().zip(&mut cursors) {
-                if chunk.dir_sets.get(*cursor) == Some(&set) {
-                    let lo = chunk.dir_starts[*cursor] as usize;
-                    let hi = chunk.dir_starts[*cursor + 1] as usize;
-                    indices.extend_from_slice(&chunk.indices[lo..hi]);
-                    tags.extend_from_slice(&chunk.tags[lo..hi]);
-                    *cursor += 1;
-                }
-            }
-            dir_starts.push(indices.len() as u32);
-        }
-        debug_assert_eq!(indices.len(), len);
-        PartitionedTrace {
-            dir_sets: dir_sets.into_boxed_slice(),
-            dir_starts: dir_starts.into_boxed_slice(),
-            indices: indices.into_boxed_slice(),
-            tags: tags.into_boxed_slice(),
-            set_bits,
-        }
-    }
-
-    /// Number of events (across all runs).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// `true` if the trace has no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// The index bits this trace was partitioned against.
-    #[must_use]
-    pub const fn set_bits(&self) -> u32 {
-        self.set_bits
-    }
-
-    /// Number of per-set runs (distinct touched sets).
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.dir_sets.len()
-    }
-
-    /// Touched sets, ascending — one entry per run.
-    #[must_use]
-    pub fn dir_sets(&self) -> &[u32] {
-        &self.dir_sets
-    }
-
-    /// CSR run offsets into [`Self::indices`] / [`Self::tags`]; one
-    /// longer than [`Self::dir_sets`].
-    #[must_use]
-    pub fn dir_starts(&self) -> &[u32] {
-        &self.dir_starts
-    }
-
-    /// Original trace index of each event, grouped by set, trace order
-    /// within a set.
-    #[must_use]
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
-    /// Tags, parallel to [`Self::indices`].
-    #[must_use]
-    pub fn tags(&self) -> &[u64] {
-        &self.tags
-    }
-
-    /// Iterates `(set, original_indices, tags)` runs in ascending set
-    /// order.
-    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u32], &[u64])> + '_ {
-        self.dir_sets.iter().enumerate().map(move |(k, &set)| {
-            let lo = self.dir_starts[k] as usize;
-            let hi = self.dir_starts[k + 1] as usize;
-            (set, &self.indices[lo..hi], &self.tags[lo..hi])
-        })
-    }
-
-    /// Bytes of heap the partitioned form keeps resident (directory
-    /// plus event arrays) — surfaced by the runtime-metrics record.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.dir_sets.len() * 4
-            + self.dir_starts.len() * 4
-            + self.indices.len() * 4
-            + self.tags.len() * 8
-    }
-}
-
 /// Identity of one decomposition: which trace, against which indexing
 /// scheme.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -408,24 +176,6 @@ pub struct DecomposedKey {
 /// so distinct keys can decompose concurrently.
 type DecomposedCell = Arc<OnceLock<Arc<DecomposedTrace>>>;
 
-/// One partitioned-form slot, same discipline as [`DecomposedCell`].
-type PartitionedCell = Arc<OnceLock<Arc<PartitionedTrace>>>;
-
-/// Counters for the partitioned side of a [`DecomposedArena`]:
-/// requests served by an existing partition vs requests that sorted,
-/// plus how much memoized partitioned state is resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionedStats {
-    /// Requests served from a memoized partition.
-    pub hits: u64,
-    /// Requests that ran the counting sort.
-    pub misses: u64,
-    /// Partitioned traces currently resident.
-    pub traces: u64,
-    /// Heap bytes those traces keep resident.
-    pub resident_bytes: u64,
-}
-
 /// One distance-memo slot, same discipline as [`DecomposedCell`].
 type DistanceCell = Arc<OnceLock<Arc<[u32]>>>;
 
@@ -437,12 +187,8 @@ type DistanceCell = Arc<OnceLock<Arc<[u32]>>>;
 #[derive(Debug, Default)]
 pub struct DecomposedArena {
     map: Mutex<FxHashMap<DecomposedKey, DecomposedCell>>,
-    parts: Mutex<FxHashMap<DecomposedKey, PartitionedCell>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    part_hits: AtomicU64,
-    part_misses: AtomicU64,
-    part_resident_bytes: AtomicU64,
     distances: Mutex<FxHashMap<(ArenaKey, u64), DistanceCell>>,
     dist_hits: AtomicU64,
     dist_misses: AtomicU64,
@@ -528,60 +274,6 @@ impl DecomposedArena {
         Arc::clone(result)
     }
 
-    /// Returns the set-partitioned form of the trace identified by
-    /// `key` for the same indexing scheme, partitioning (and, if
-    /// needed, decomposing) on first request and memoizing both forms.
-    /// The sort is paid once per `(trace, geometry)` key, amortized
-    /// across every cell that replays it; subsequent requests for an
-    /// equal key return the same allocation.
-    pub fn get_or_partition(
-        &self,
-        key: ArenaKey,
-        line_size: u64,
-        set_bits: u32,
-        trace: impl FnOnce() -> Arc<[TraceEvent]>,
-    ) -> Arc<PartitionedTrace> {
-        let span_label = sim_core::span::active().then(|| {
-            format!(
-                "{}/{}/{}/ls{line_size}/sb{set_bits}",
-                key.workload, key.seed, key.events
-            )
-        });
-        let cell = {
-            let part_key = DecomposedKey {
-                trace: key.clone(),
-                line_size,
-                set_bits,
-            };
-            let mut parts = self.parts.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(parts.entry(part_key).or_default())
-        };
-        let mut partitioned = false;
-        let result = cell.get_or_init(|| {
-            let decomposed = self.get_or_decompose(key, line_size, set_bits, trace);
-            sim_core::span::scope(
-                sim_core::span::ScopeKind::Subsystem,
-                "arena_partition",
-                "arena",
-                || span_label.clone().unwrap_or_default(),
-                || {
-                    partitioned = true;
-                    let p = PartitionedTrace::partition(&decomposed);
-                    sim_core::span::add_events(p.len() as u64);
-                    self.part_resident_bytes
-                        .fetch_add(p.heap_bytes() as u64, Ordering::Relaxed);
-                    Arc::new(p)
-                },
-            )
-        });
-        if partitioned {
-            self.part_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.part_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(result)
-    }
-
     /// Returns the per-event LRU stack distances of the trace
     /// identified by `key` at `line_size`-byte lines, building them on
     /// first request with `distances` and memoizing the result.
@@ -652,27 +344,8 @@ impl DecomposedArena {
         )
     }
 
-    /// Counters and residency of the partitioned side (see
-    /// [`Self::get_or_partition`]).
-    #[must_use]
-    pub fn partitioned_stats(&self) -> PartitionedStats {
-        let traces = self
-            .parts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|cell| cell.get().is_some())
-            .count() as u64;
-        PartitionedStats {
-            hits: self.part_hits.load(Ordering::Relaxed),
-            misses: self.part_misses.load(Ordering::Relaxed),
-            traces,
-            resident_bytes: self.part_resident_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops every resident decomposition, partition and distance
-    /// memo (outstanding `Arc`s stay valid) and resets the counters.
+    /// Drops every resident decomposition and distance memo
+    /// (outstanding `Arc`s stay valid) and resets the counters.
     pub fn clear(&self) {
         self.distances
             .lock()
@@ -684,15 +357,8 @@ impl DecomposedArena {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
-        self.parts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.part_hits.store(0, Ordering::Relaxed);
-        self.part_misses.store(0, Ordering::Relaxed);
-        self.part_resident_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -877,102 +543,5 @@ mod tests {
         let again = arena.get_or_distances(key, 64, counting_build(&builds, &d));
         assert!(!Arc::ptr_eq(&kept, &again));
         assert_eq!(builds.load(Ordering::Relaxed), 2);
-    }
-
-    /// Reference partition: an independent stable sort by set.
-    fn naive_partition(d: &DecomposedTrace) -> Vec<(u32, Vec<u32>, Vec<u64>)> {
-        let mut order: Vec<u32> = (0..d.len() as u32).collect();
-        order.sort_by_key(|&i| d.sets()[i as usize]); // stable
-        let mut runs: Vec<(u32, Vec<u32>, Vec<u64>)> = Vec::new();
-        for i in order {
-            let set = d.sets()[i as usize];
-            let tag = d.tags()[i as usize];
-            match runs.last_mut() {
-                Some((s, indices, tags)) if *s == set => {
-                    indices.push(i);
-                    tags.push(tag);
-                }
-                _ => runs.push((set, vec![i], vec![tag])),
-            }
-        }
-        runs
-    }
-
-    fn assert_matches_naive(p: &PartitionedTrace, d: &DecomposedTrace) {
-        let expected = naive_partition(d);
-        assert_eq!(p.len(), d.len());
-        assert_eq!(p.run_count(), expected.len());
-        assert_eq!(p.dir_starts().first(), Some(&0));
-        assert_eq!(p.dir_starts().last(), Some(&(d.len() as u32)));
-        let actual: Vec<(u32, Vec<u32>, Vec<u64>)> = p
-            .runs()
-            .map(|(set, indices, tags)| (set, indices.to_vec(), tags.to_vec()))
-            .collect();
-        assert_eq!(actual, expected);
-    }
-
-    #[test]
-    fn partition_matches_stable_sort_by_set() {
-        let events = sweep_events(3_000);
-        // Fold into 16 sets so runs are long; also a skewed mix.
-        let d = DecomposedTrace::decompose(&events, 64, 4);
-        assert_matches_naive(&PartitionedTrace::partition(&d), &d);
-        let d = DecomposedTrace::decompose(&events, 64, 9);
-        assert_matches_naive(&PartitionedTrace::partition(&d), &d);
-    }
-
-    #[test]
-    fn partition_of_empty_trace_is_empty() {
-        let d = DecomposedTrace::decompose(&[], 64, 4);
-        let p = PartitionedTrace::partition(&d);
-        assert!(p.is_empty());
-        assert_eq!(p.run_count(), 0);
-        assert_eq!(p.dir_starts(), &[0]);
-    }
-
-    #[test]
-    fn chunked_partition_matches_serial_at_any_thread_count() {
-        // Enough events to engage the chunked parallel path, with a
-        // torn final chunk.
-        let events = sweep_events(PARALLEL_PARTITION_MIN + 1_037);
-        let d = DecomposedTrace::decompose(&events, 64, 6);
-        // Serial reference: one whole-trace chunk.
-        let serial = PartitionedTrace::merge(
-            &[bucket_chunk(d.sets(), d.tags(), 0, 1 << 6)],
-            d.len(),
-            d.set_bits(),
-        );
-        assert_matches_naive(&serial, &d);
-        for threads in [1usize, 4, 8] {
-            let chunked = sim_core::parallel::par_map_threads(threads, vec![()], |()| {
-                PartitionedTrace::partition(&d)
-            })
-            .pop()
-            .unwrap();
-            assert_eq!(chunked, serial, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn arena_memoizes_partitions_and_counts_residency() {
-        let arena = DecomposedArena::new();
-        let events = sweep_events(120);
-        let key = ArenaKey::new("p", 1, 120);
-        let a = arena.get_or_partition(key.clone(), 64, 4, || events.clone());
-        let b = arena.get_or_partition(key.clone(), 64, 4, || unreachable!("memoized"));
-        assert!(Arc::ptr_eq(&a, &b));
-        let stats = arena.partitioned_stats();
-        assert_eq!((stats.hits, stats.misses, stats.traces), (1, 1, 1));
-        assert_eq!(stats.resident_bytes, a.heap_bytes() as u64);
-        // Partitioning also memoized the trace-order form.
-        assert_eq!(arena.stats().1, 1);
-        let d = arena.get_or_decompose(key.clone(), 64, 4, || unreachable!("memoized"));
-        assert_matches_naive(&a, &d);
-        arena.clear();
-        let stats = arena.partitioned_stats();
-        assert_eq!((stats.hits, stats.misses, stats.traces), (0, 0, 0));
-        assert_eq!(stats.resident_bytes, 0);
-        let again = arena.get_or_partition(key, 64, 4, || events);
-        assert!(!Arc::ptr_eq(&a, &again));
     }
 }
