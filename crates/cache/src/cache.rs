@@ -506,16 +506,19 @@ impl<M> SetAssocCache<M> {
     /// }
     /// ```
     ///
-    /// but the probe-armed check and the replacement-policy branch
-    /// run once per block instead of once per event, and adjacent
+    /// but the replacement-policy branch runs once per block instead
+    /// of once per event, and adjacent
     /// same-set events are replayed as *runs* whose row, clock, and
     /// counters live in locals. Events keep trace order, so hits,
     /// misses, evictions, statistics and final contents all match
     /// per-event replay exactly.
     ///
-    /// When this cache reports set probes and a probe sink is armed,
-    /// the block falls back to exact per-event order so the emitted
-    /// event stream is byte-identical to unbatched replay.
+    /// Set-probe events ([`probe::ProbeEvent::SetFill`] /
+    /// [`probe::ProbeEvent::SetEvict`]) come only from the per-event
+    /// entry points ([`Self::probe_at`], [`Self::fill_at`]); block
+    /// replay emits none. A caller that records them replays per event
+    /// while a probe sink is armed, as the MCT crate's
+    /// `ClassifyingCache::access_parts_block` does.
     ///
     /// # Panics
     ///
@@ -523,10 +526,6 @@ impl<M> SetAssocCache<M> {
     /// range for the geometry.
     pub fn access_block_with<S: BlockSink<M>>(&mut self, sets: &[u32], tags: &[u64], sink: &mut S) {
         assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
-        if self.probed && probe::active() {
-            self.block_fallback(sets, tags, sink);
-            return;
-        }
         match self.replacement {
             Replacement::Lru => self.process_block::<LruPolicy, S>(sets, tags, sink),
             Replacement::Fifo => self.process_block::<FifoPolicy, S>(sets, tags, sink),
@@ -550,24 +549,6 @@ impl<M> SetAssocCache<M> {
         assert_eq!(sets.len(), out.len(), "sets/out length mismatch");
         let mut sink = OutcomeSink { out };
         self.access_block_with(sets, tags, &mut sink);
-    }
-
-    /// Probe-armed fallback: per-event order, via the exact entry
-    /// points unbatched replay uses, so probe event streams are
-    /// unchanged by batching.
-    fn block_fallback<S: BlockSink<M>>(&mut self, sets: &[u32], tags: &[u64], sink: &mut S) {
-        for (i, (&set, &tag)) in sets.iter().zip(tags).enumerate() {
-            let set = set as usize;
-            if let Some(meta) = self.probe_at(set, tag) {
-                sink.hit(i, meta);
-                continue;
-            }
-            let meta = sink.miss(i, set, tag);
-            if let Some(ev) = self.fill_at(set, tag, meta) {
-                let evicted_tag = self.geom.tag(ev.line);
-                sink.evicted(i, set, evicted_tag, ev.meta);
-            }
-        }
     }
 
     /// The block engine, monomorphized per replacement policy: trace
@@ -601,8 +582,7 @@ impl<M> SetAssocCache<M> {
     /// write-back down to the same touch pattern as the legacy
     /// `probe_at`/`fill_at` pair, which matters on patterns with no
     /// adjacent same-set events (a strided set walk degenerates every
-    /// run to length one). The policy is still monomorphized and the
-    /// probe-armed check already ran once for the whole block.
+    /// run to length one). The policy is still monomorphized.
     fn block_single<P: BlockPolicy, S: BlockSink<M>>(
         &mut self,
         index: usize,

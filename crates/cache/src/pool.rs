@@ -43,7 +43,7 @@ pub struct PoolStats {
     /// Requests served by recycling a pooled buffer.
     pub reuses: u64,
     /// Buffers returned to a pool on drop (bounded; overflow past
-    /// [`MAX_PER_LEN`] per length is freed, not counted).
+    /// `MAX_PER_LEN` per length is freed, not counted).
     pub recycles: u64,
 }
 

@@ -182,22 +182,17 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// merged index by index, which reproduces the per-event report
     /// exactly.
     ///
-    /// With a probe sink armed the whole block falls back to
-    /// per-event [`Self::observe_parts`], so the emitted event stream
-    /// (`Access`, `Classify`, `ConflictBit`, `Oracle` interleaved per
-    /// event) is byte-identical to unbatched replay.
+    /// The oracle emits no probe events, so with a probe sink armed
+    /// the emitted stream (`Access`, `Classify`, `ConflictBit`,
+    /// `Oracle` interleaved per event) is that of
+    /// [`Self::observe_block_with_truth`]'s per-event fallback:
+    /// byte-identical to unbatched replay.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length or a set index is out of
     /// range for the geometry.
     pub fn observe_block(&mut self, sets: &[u32], tags: &[u64]) {
-        if probe::active() {
-            for (&set, &tag) in sets.iter().zip(tags) {
-                self.observe_parts(set as usize, tag);
-            }
-            return;
-        }
         self.run_owned_oracle(sets, tags);
         // Move the flags out so the shared block path can borrow
         // `self` mutably while reading them.

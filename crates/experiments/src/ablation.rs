@@ -87,9 +87,7 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
                 || {
                     let dir = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
                     let mut eval = AccuracyEvaluator::with_classifier(geom, dir);
-                    let trace = crate::replay_for(&w, &geom, events);
-                    crate::telemetry::record_events(events as u64);
-                    crate::replay_accuracy(&trace, &mut eval);
+                    crate::replay_accuracy(&w, events, &mut eval);
                     eval.finish()
                 },
             );

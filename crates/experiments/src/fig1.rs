@@ -57,9 +57,7 @@ pub fn configurations() -> Vec<(String, CacheGeometry)> {
 
 fn evaluate(workload: &Workload, geom: CacheGeometry, events: usize) -> AccuracyReport {
     let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    let trace = crate::replay_for(workload, &geom, events);
-    crate::telemetry::record_events(events as u64);
-    crate::replay_accuracy(&trace, &mut eval);
+    crate::replay_accuracy(workload, events, &mut eval);
     eval.finish()
 }
 

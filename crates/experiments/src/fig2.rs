@@ -56,9 +56,7 @@ pub fn run(events: usize) -> Fig2 {
                 || format!("{bits}/{}", w.name()),
                 || {
                     let mut eval = AccuracyEvaluator::new(geom, bits);
-                    let trace = crate::replay_for(&w, &geom, events);
-                    crate::telemetry::record_events(events as u64);
-                    crate::replay_accuracy(&trace, &mut eval);
+                    crate::replay_accuracy(&w, events, &mut eval);
                     eval.finish()
                 },
             );

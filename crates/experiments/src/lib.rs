@@ -15,23 +15,34 @@
 //! | [`sec56`] | §5.6 | co-scheduling on a shared cache, ranked by MCT conflict rate |
 //! | [`ablation`] | (extensions) | shadow-directory depth, CPU window, buffer size |
 //!
-//! Two infrastructure modules serve the `repro` harness: [`cli`]
-//! (argument parsing and the figure-target registry) and [`telemetry`]
-//! (per-figure wall time, events/sec, and the machine-readable
-//! `BENCH_repro.json` the perf trajectory is tracked with). Workload
-//! traces are materialized once per `(workload, seed, events)` in the
-//! shared [`trace_gen::arena`] — see [`trace_for`] — and replayed by
-//! every cell, so no driver pays trace synthesis more than once. The
-//! accuracy figures go one step further with [`replay_for`]: the
-//! per-event `(set, tag)` split is precomputed once per (workload,
-//! geometry) and streamed into the cache kernel's batched entry
-//! points, and the 3C ground truth is read off
-//! per-event LRU stack distances memoized once per (workload, line
-//! size) ([`distances_for`]) instead of a per-cell oracle pass. Under
-//! `repro --stream`
-//! ([`set_stream_mode`]) drivers bypass the arenas entirely and pipe
-//! generators through a chunked O([`STREAM_CHUNK`])-memory pipeline
-//! with byte-identical output.
+//! [`mrc`] adds miss-ratio curves as a second ground truth
+//! (`repro --mrc`). The rest is the `repro` harness's infrastructure:
+//!
+//! * [`cli`] — argument parsing and the figure-target registry;
+//! * [`telemetry`] — per-figure wall time, events/sec, and the
+//!   machine-readable `BENCH_repro.json`;
+//! * [`probe`] and [`obs`] — per-cell probe sinks, the `obs-repro/1`
+//!   JSONL and its summaries;
+//! * [`tracing`] and [`traceview`] — the span layer's `trace-repro/1`
+//!   output and the `obs` analytics over it;
+//! * [`checkpoint`], [`ioutil`] and [`jsonl`] — checkpoint/resume,
+//!   fault-aware artifact writes, and the reader for the workspace's
+//!   own JSON schemas.
+//!
+//! Workload traces are materialized once per `(workload, seed,
+//! events)` in the shared [`trace_gen::arena`] — see [`trace_for`] —
+//! and replayed by every cell, so no driver pays trace synthesis more
+//! than once. The accuracy cells (fig1, fig2, the MRC cross-check,
+//! the shadow-depth ablation) go one step further through their one
+//! entry point, [`replay_accuracy`]: the per-event `(set, tag)` split
+//! is precomputed once per (workload, geometry) ([`decomposed_for`])
+//! and streamed into the cache kernel's block entry points, and the
+//! 3C ground truth is read off per-event LRU stack distances memoized
+//! once per (workload, line size) ([`distances_for`]) instead of a
+//! per-cell oracle pass. Under `repro --stream` ([`set_stream_mode`])
+//! drivers bypass the arenas entirely and pipe generators through a
+//! chunked O([`STREAM_CHUNK`])-memory pipeline with byte-identical
+//! output.
 //!
 //! Every driver takes the number of trace events per workload, so the
 //! same code serves quick smoke tests, Criterion benches, and the full
@@ -127,11 +138,11 @@ pub fn stream_mode() -> bool {
 /// kernel is tested for).
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
-/// One accuracy driver's replay input: either arena-resident forms
-/// (the decomposed trace and its stack distances) or a streamed
-/// generator.
-#[derive(Debug, Clone)]
-pub enum ReplayTrace {
+/// One accuracy-family cell's replay input: either arena-resident
+/// forms (the decomposed trace and its stack distances) or a streamed
+/// generator. Only this type's own methods look at which.
+#[derive(Debug)]
+enum ReplayTrace {
     /// Arena-memoized forms, shared across cells.
     Arena {
         /// Trace-order `(set, tag)` arrays.
@@ -154,117 +165,130 @@ pub enum ReplayTrace {
 }
 
 impl ReplayTrace {
-    /// Total events this input replays.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    /// The replay input for `(workload, SEED, events)` against
+    /// `geom`: the arena-memoized decomposed trace and its
+    /// stack-distance memo, or a streamed generator under
+    /// [`stream_mode`]. The distance memo is built here, on the first
+    /// replay of a trace, never when the arenas are warmed.
+    fn new(workload: &workloads::Workload, geom: &CacheGeometry, events: usize) -> Self {
+        if stream_mode() {
+            return ReplayTrace::Stream {
+                workload: *workload,
+                geom: *geom,
+                events,
+            };
+        }
+        let trace = decomposed_for(workload, geom, events);
+        let distances = distances_for(workload, geom, events);
+        ReplayTrace::Arena { trace, distances }
+    }
+
+    /// The whole trace's memoized stack distances, if arena-resident.
+    fn distances(&self) -> Option<&[u32]> {
         match self {
-            ReplayTrace::Arena { trace, .. } => trace.len(),
-            ReplayTrace::Stream { events, .. } => *events,
+            ReplayTrace::Arena { distances, .. } => Some(distances),
+            ReplayTrace::Stream { .. } => None,
         }
     }
 
-    /// `true` if there are no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Feeds the input to `f` in trace order, in blocks of
+    /// [`replay_block_size`] `(sets, tags)` pairs, under a span named
+    /// `span` — or, for `None`, after the input kind (`replay_block`
+    /// for arena blocks, `replay_stream` for the generator pipeline).
+    ///
+    /// Arena blocks come with their slice of the stack-distance memo.
+    /// Stream blocks come with `None`: the generator fills one
+    /// [`STREAM_CHUNK`] of pooled `(set, tag)` buffers at a time, so
+    /// memory stays O(chunk) whatever the trace length.
+    fn for_each_block(
+        &self,
+        span: Option<&'static str>,
+        mut f: impl FnMut(&[u32], &[u64], Option<&[u32]>),
+    ) {
+        match self {
+            ReplayTrace::Arena { trace, distances } => {
+                let _span = sim_core::span::enter(span.unwrap_or("replay_block"));
+                sim_core::span::add_events(trace.len() as u64);
+                let mut distances = distances.chunks(REPLAY_BLOCK);
+                trace.for_each_block(REPLAY_BLOCK, |sets, tags| {
+                    f(sets, tags, distances.next());
+                });
+            }
+            ReplayTrace::Stream {
+                workload,
+                geom,
+                events,
+            } => {
+                let _span = sim_core::span::enter(span.unwrap_or("replay_stream"));
+                sim_core::span::add_events(*events as u64);
+                let chunk = STREAM_CHUNK.min(*events);
+                if chunk == 0 {
+                    return;
+                }
+                let mut source =
+                    trace_gen::TraceSource::take_events(workload.source(SEED), *events);
+                // Chunk buffers come from (and return to) the kernel's
+                // buffer pool, so streaming traffic shows up in the same
+                // `trace-repro/1` pool counters as the kernel arrays.
+                let mut sets = cache_model::pool::take_u32_zeroed(chunk);
+                let mut tags = cache_model::pool::take_u64(chunk);
+                loop {
+                    let n = DecomposedTrace::split_into(
+                        &mut source,
+                        geom.line_size(),
+                        geom.set_bits(),
+                        &mut sets,
+                        &mut tags,
+                    );
+                    if n == 0 {
+                        break;
+                    }
+                    for (s, t) in sets[..n]
+                        .chunks(REPLAY_BLOCK)
+                        .zip(tags[..n].chunks(REPLAY_BLOCK))
+                    {
+                        f(s, t, None);
+                    }
+                }
+                cache_model::pool::recycle_u32(sets);
+                cache_model::pool::recycle_u64(tags);
+            }
+        }
     }
 }
 
-/// The replay input for `(workload, SEED, events)` against `geom`:
-/// the arena-memoized decomposed trace and its stack-distance memo,
-/// or a streamed generator under [`stream_mode`]. This is what fig1,
-/// fig2, the MRC family and the shadow-depth ablation feed
-/// [`replay_accuracy`]. The distance memo is built here, on the first
-/// replay of a trace, never when the arenas are warmed.
-#[must_use]
-pub fn replay_for(
-    workload: &workloads::Workload,
-    geom: &CacheGeometry,
-    events: usize,
-) -> ReplayTrace {
-    if stream_mode() {
-        return ReplayTrace::Stream {
-            workload: *workload,
-            geom: *geom,
-            events,
-        };
-    }
-    let trace = decomposed_for(workload, geom, events);
-    let distances = distances_for(workload, geom, events);
-    ReplayTrace::Arena { trace, distances }
-}
-
-/// The shared replay loop of the accuracy drivers (fig1, fig2, the
-/// MRC cross-check cells, the shadow-depth ablation): streams the
-/// replay input through an [`mct::accuracy::AccuracyEvaluator`].
+/// The one accuracy-cell entry point (fig1, fig2, the MRC cross-check
+/// cells, the shadow-depth ablation): replays `(workload, SEED,
+/// events)` through `eval` at its own geometry and counts the events
+/// in the telemetry.
 ///
-/// Both inputs replay in event blocks of [`replay_block_size`] pairs.
-/// Arena inputs take their three-C verdicts from the stack-distance
-/// memo — a miss is a conflict miss iff its distance is below the
-/// geometry's line capacity — so no cell runs an oracle of its own.
-/// Stream inputs run the chunked generator pipeline, with the owned
-/// oracle since nothing is resident to memoize. Results are identical
-/// on both (block replay is differential-tested against per-event
-/// replay); the stream exists purely for memory. When a probe sink is
-/// armed, blocks fall back to per-event order so the emitted event
-/// stream is byte-identical to unbatched replay.
+/// Input is arena-resident unless [`stream_mode`] is set; both replay
+/// in event blocks of [`replay_block_size`]. Arena blocks take their
+/// three-C verdicts from the stack-distance memo — a miss is a
+/// conflict miss iff its distance is below the geometry's line
+/// capacity — so no cell runs an oracle of its own. Stream blocks
+/// run the evaluator's owned oracle, since nothing is resident to
+/// memoize. Results are identical on both (block replay is
+/// differential-tested against per-event replay); the stream exists
+/// purely for memory. When a probe sink is armed, blocks replay in
+/// per-event order so the emitted event stream is byte-identical to
+/// unbatched replay.
 pub fn replay_accuracy<T: mct::EvictionClassifier>(
-    trace: &ReplayTrace,
+    workload: &workloads::Workload,
+    events: usize,
     eval: &mut mct::accuracy::AccuracyEvaluator<T>,
 ) {
-    let block = replay_block_size();
-    match trace {
-        ReplayTrace::Arena { trace, distances } => {
-            let _span = sim_core::span::enter("replay_block");
-            sim_core::span::add_events(trace.len() as u64);
-            let capacity = eval.cache().geometry().num_lines() as u64;
-            let blocks = trace
-                .sets()
-                .chunks(block)
-                .zip(trace.tags().chunks(block))
-                .zip(distances.chunks(block));
-            for ((sets, tags), d) in blocks {
-                let verdicts = d.iter().map(|&d| ::mrc::fits(d, capacity));
-                eval.observe_block_with_truth(sets, tags, verdicts);
-            }
+    let geom = *eval.cache().geometry();
+    let trace = ReplayTrace::new(workload, &geom, events);
+    telemetry::record_events(events as u64);
+    let capacity = geom.num_lines() as u64;
+    trace.for_each_block(None, |sets, tags, distances| match distances {
+        Some(d) => {
+            let verdicts = d.iter().map(|&d| ::mrc::fits(d, capacity));
+            eval.observe_block_with_truth(sets, tags, verdicts);
         }
-        ReplayTrace::Stream {
-            workload,
-            geom,
-            events,
-        } => {
-            let _span = sim_core::span::enter("replay_stream");
-            sim_core::span::add_events(*events as u64);
-            let mut source = workload.source(SEED);
-            let line_size = geom.line_size();
-            let set_bits = geom.set_bits();
-            let mask = (1u64 << set_bits) - 1;
-            let mut left = *events;
-            if left == 0 {
-                return;
-            }
-            // Chunk buffers come from (and return to) the kernel's
-            // buffer pool, so streaming traffic shows up in the same
-            // `trace-repro/1` pool counters as the kernel arrays.
-            let chunk = STREAM_CHUNK.min(left);
-            let mut sets = cache_model::pool::take_u32_zeroed(chunk);
-            let mut tags = cache_model::pool::take_u64(chunk);
-            while left > 0 {
-                let n = chunk.min(left);
-                for i in 0..n {
-                    let line = source.next_event().access.addr.line(line_size).raw();
-                    sets[i] = (line & mask) as u32;
-                    tags[i] = line >> set_bits;
-                }
-                for (s, t) in sets[..n].chunks(block).zip(tags[..n].chunks(block)) {
-                    eval.observe_block(s, t);
-                }
-                left -= n;
-            }
-            cache_model::pool::recycle_u32(sets);
-            cache_model::pool::recycle_u64(tags);
-        }
-    }
+        None => eval.observe_block(sets, tags),
+    });
 }
 
 /// The seed all experiments use (workload identity is mixed in by the

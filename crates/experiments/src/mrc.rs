@@ -33,7 +33,7 @@ use mrc::{CurvePoint, DistanceHistogram, ShardsEngine, StackDistanceEngine};
 use workloads::Workload;
 
 use crate::telemetry::{json_f64, json_string};
-use crate::{ReplayTrace, Table};
+use crate::Table;
 
 /// The capacity ladder (in lines) every curve is evaluated at. It
 /// includes both paper geometry capacities — 256 lines (16 KB, 64 B
@@ -129,49 +129,6 @@ pub fn simulated_events(events: usize) -> u64 {
     ((crate::fig1::configurations().len() + 1) * suite * events) as u64
 }
 
-/// Replays a [`ReplayTrace`] into `record`, one `(sets, tags)` block
-/// at a time. Arena inputs replay in event blocks; stream inputs run
-/// the chunked generator pipeline with pooled buffers, so memory stays
-/// O(chunk + engine index).
-fn replay_mrc(trace: &ReplayTrace, mut record: impl FnMut(&[u32], &[u64])) {
-    let _span = sim_core::span::enter("replay_mrc");
-    sim_core::span::add_events(trace.len() as u64);
-    match trace {
-        ReplayTrace::Arena { trace, .. } => {
-            trace.for_each_block(crate::replay_block_size(), record);
-        }
-        ReplayTrace::Stream {
-            workload,
-            geom,
-            events,
-        } => {
-            let mut source = workload.source(crate::SEED);
-            let line_size = geom.line_size();
-            let set_bits = geom.set_bits();
-            let mask = (1u64 << set_bits) - 1;
-            let mut left = *events;
-            if left == 0 {
-                return;
-            }
-            let chunk = crate::STREAM_CHUNK.min(left);
-            let mut sets = cache_model::pool::take_u32_zeroed(chunk);
-            let mut tags = cache_model::pool::take_u64(chunk);
-            while left > 0 {
-                let n = chunk.min(left);
-                for i in 0..n {
-                    let line = source.next_event().access.addr.line(line_size).raw();
-                    sets[i] = (line & mask) as u32;
-                    tags[i] = line >> set_bits;
-                }
-                record(&sets[..n], &tags[..n]);
-                left -= n;
-            }
-            cache_model::pool::recycle_u32(sets);
-            cache_model::pool::recycle_u64(tags);
-        }
-    }
-}
-
 /// `miss_ratio` evaluated on [`CAPACITY_LADDER`].
 fn ladder_points(miss_ratio: impl Fn(u64) -> f64) -> Vec<CurvePoint> {
     CAPACITY_LADDER
@@ -189,7 +146,7 @@ fn curve_for(
     events: usize,
     sample: Option<f64>,
 ) -> WorkloadCurve {
-    let trace = crate::replay_for(workload, &geom, events);
+    let trace = crate::ReplayTrace::new(workload, &geom, events);
     crate::telemetry::record_events(events as u64);
     let set_bits = geom.set_bits();
     let exact = |hist: &DistanceHistogram| WorkloadCurve {
@@ -200,25 +157,25 @@ fn curve_for(
         distinct_lines: hist.cold(),
         points: ladder_points(|c| hist.miss_ratio(c)),
     };
-    match (&trace, sample) {
+    match (trace.distances(), sample) {
         // The arena's memoized distances are the exact engine's pass
         // over this trace; their histogram is the engine's, so no
         // second pass runs.
-        (ReplayTrace::Arena { distances, .. }, None) => {
+        (Some(distances), None) => {
             let _span = sim_core::span::enter("replay_mrc");
             sim_core::span::add_events(distances.len() as u64);
             exact(&DistanceHistogram::from_distances(distances))
         }
-        (_, None) => {
+        (None, None) => {
             let mut engine = StackDistanceEngine::new();
-            replay_mrc(&trace, |sets, tags| {
+            trace.for_each_block(Some("replay_mrc"), |sets, tags, _| {
                 engine.record_parts_block(sets, tags, set_bits);
             });
             exact(engine.histogram())
         }
         (_, Some(rate)) => {
             let mut engine = ShardsEngine::new(rate).expect("sample rate validated by the CLI");
-            replay_mrc(&trace, |sets, tags| {
+            trace.for_each_block(Some("replay_mrc"), |sets, tags, _| {
                 engine.record_parts_block(sets, tags, set_bits);
             });
             WorkloadCurve {
@@ -234,9 +191,7 @@ fn curve_for(
 
 fn mct_report(workload: &Workload, geom: CacheGeometry, events: usize) -> AccuracyReport {
     let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    let trace = crate::replay_for(workload, &geom, events);
-    crate::telemetry::record_events(events as u64);
-    crate::replay_accuracy(&trace, &mut eval);
+    crate::replay_accuracy(workload, events, &mut eval);
     eval.finish()
 }
 

@@ -58,12 +58,10 @@ fn stream_and_large_geometry_replay_match_arena_trace_order() {
     let w = workloads::by_name("gcc").expect("gcc analog exists");
     let geom = CacheGeometry::new(16 * 1024, 2, 32).unwrap();
     let mut reference = AccuracyEvaluator::new(geom, TagBits::Low(8));
-    let arena_trace = experiments::replay_for(&w, &geom, big);
-    experiments::replay_accuracy(&arena_trace, &mut reference);
+    experiments::replay_accuracy(&w, big, &mut reference);
     experiments::set_stream_mode(true);
-    let stream_trace = experiments::replay_for(&w, &geom, big);
     let mut streamed = AccuracyEvaluator::new(geom, TagBits::Low(8));
-    experiments::replay_accuracy(&stream_trace, &mut streamed);
+    experiments::replay_accuracy(&w, big, &mut streamed);
     experiments::set_stream_mode(false);
     assert_eq!(
         reference.report(),
@@ -74,9 +72,8 @@ fn stream_and_large_geometry_replay_match_arena_trace_order() {
     // A geometry far past every sweep's: the drivers' replay must
     // equal per-event trace-order replay of the same decomposed trace.
     let mrc_geom = CacheGeometry::new(4 * 1024 * 1024, 2, 64).unwrap();
-    let replay = experiments::replay_for(&w, &mrc_geom, EVENTS);
     let mut via_replay = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
-    experiments::replay_accuracy(&replay, &mut via_replay);
+    experiments::replay_accuracy(&w, EVENTS, &mut via_replay);
     let decomposed = experiments::decomposed_for(&w, &mrc_geom, EVENTS);
     let mut via_events = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
     for (set, tag) in decomposed.iter() {

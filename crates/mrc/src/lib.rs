@@ -17,8 +17,8 @@
 //!   engines are differentially tested against.
 //! * [`StackDistanceEngine`] — the single-pass exact engine: an
 //!   order-statistic tree (Fenwick form) over last-access timestamps
-//!   plus an [`FxHashMap`] line index, O(log U) amortised per event
-//!   and O(distinct lines) memory.
+//!   plus an [`FxHashMap`](sim_core::hash::FxHashMap) line index,
+//!   O(log U) amortised per event and O(distinct lines) memory.
 //! * [`ShardsEngine`] — SHARDS-style fixed-rate spatial sampling: a
 //!   deterministic hash of the line address admits each line with
 //!   probability `R`, and sampled distances are scaled by `1/R` at

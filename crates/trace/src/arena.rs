@@ -11,13 +11,10 @@
 //! `Arc<[TraceEvent]>`; every later request clones the `Arc` (a
 //! refcount bump) and iterates the slice.
 //!
-//! Concurrency: the map is a mutex-guarded index of per-key
-//! [`OnceLock`] cells. The mutex is held only to look up or insert a
-//! cell — never while generating — so distinct keys materialize
-//! concurrently, while two racing requests for the *same* key
-//! serialize on that key's `OnceLock` and observe the same slice.
-//! Replay order is the generator's order, so arena-fed experiments are
-//! bit-identical to streaming ones.
+//! Concurrency: distinct keys materialize concurrently, while two
+//! racing requests for the *same* key share one materialization and
+//! observe the same slice. Replay order is the generator's order, so
+//! arena-fed experiments are bit-identical to streaming ones.
 //!
 //! # Examples
 //!
@@ -35,11 +32,9 @@
 //! assert_eq!(first.len(), 100);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
-use sim_core::hash::FxHashMap;
-
+use crate::memo::Memo;
 use crate::{TraceEvent, TraceSource};
 
 /// Identity of one materialized trace: which generator recipe, which
@@ -66,16 +61,10 @@ impl ArenaKey {
     }
 }
 
-/// One map slot: cloned out under the map lock, initialized outside
-/// it so distinct keys can materialize concurrently.
-type TraceCell = Arc<OnceLock<Arc<[TraceEvent]>>>;
-
 /// A memoizing store of materialized traces. See the module docs.
 #[derive(Debug, Default)]
 pub struct TraceArena {
-    map: Mutex<FxHashMap<ArenaKey, TraceCell>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    memo: Memo<ArenaKey, Arc<[TraceEvent]>>,
 }
 
 /// Counters describing how much work the arena has absorbed.
@@ -124,61 +113,44 @@ impl TraceArena {
         // recorded scope set is identical at any thread count).
         let span_label = sim_core::span::active()
             .then(|| format!("{}/{}/{}", key.workload, key.seed, key.events));
-        let cell = {
-            // Poison recovery: the map's entries are only ever inserted
-            // whole, so a panic on another thread cannot leave a slot
-            // half-written — continuing with the inner map is sound.
-            let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let mut materialized = false;
-        let trace = cell.get_or_init(|| {
+        self.memo.get_or_build(key, || {
             sim_core::span::scope(
                 sim_core::span::ScopeKind::Subsystem,
                 "arena_materialize",
                 "arena",
-                || span_label.clone().unwrap_or_default(),
+                || span_label.unwrap_or_default(),
                 || {
                     // Injection site: a transient fault retries inside the
                     // gate and falls through to generate; a persistent one
-                    // unwinds (the `OnceLock` stays uninitialized, so a
-                    // retried cell re-attempts materialization from scratch).
+                    // unwinds (the key stays unbuilt, so a retried cell
+                    // re-attempts materialization from scratch).
                     if let Err(fault) =
                         sim_core::fault::gate(sim_core::fault::FaultSite::ArenaMaterialize)
                     {
                         std::panic::panic_any(fault);
                     }
-                    materialized = true;
                     let mut src = source();
                     let trace: Vec<TraceEvent> = (0..events).map(|_| src.next_event()).collect();
                     sim_core::span::add_events(trace.len() as u64);
                     Arc::from(trace)
                 },
             )
-        });
-        if materialized {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(trace)
+        })
     }
 
     /// Hit/miss/residency counters (for telemetry and tests).
     #[must_use]
     pub fn stats(&self) -> ArenaStats {
-        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        let (hits, misses) = self.memo.stats();
         let mut traces = 0usize;
         let mut resident_events = 0u64;
-        for cell in map.values() {
-            if let Some(t) = cell.get() {
-                traces += 1;
-                resident_events += t.len() as u64;
-            }
-        }
+        self.memo.for_each_built(|t| {
+            traces += 1;
+            resident_events += t.len() as u64;
+        });
         ArenaStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits,
+            misses,
             traces,
             resident_events,
         }
@@ -187,12 +159,7 @@ impl TraceArena {
     /// Drops every resident trace (outstanding `Arc`s stay valid) and
     /// resets the counters.
     pub fn clear(&self) {
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.memo.clear();
     }
 }
 

@@ -10,8 +10,11 @@
 //! access per cell. A [`DecomposedTrace`] hoists that work out of the
 //! cell loop: the split into parallel `sets` / `tags` arrays happens
 //! once per `(trace, line size, set bits)` key in the
-//! [`DecomposedArena`], and cells stream the precomputed pairs
-//! straight into the kernel's `probe_at` / `fill_at` entry points.
+//! [`DecomposedArena`], and cells stream the precomputed pairs, a
+//! block at a time ([`DecomposedTrace::for_each_block`]), straight
+//! into the cache kernel's block entry points. A streamed generator
+//! is split by the same code, one chunk at a time
+//! ([`DecomposedTrace::split_into`]).
 //!
 //! Decomposition is lossless for everything the consumers need: the
 //! line address is recoverable as `(tag << set_bits) | set` (the cache
@@ -39,12 +42,10 @@
 //! assert!(std::sync::Arc::ptr_eq(&d, &again)); // one decomposition
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-use sim_core::hash::FxHashMap;
+use std::sync::{Arc, OnceLock};
 
 use crate::arena::ArenaKey;
+use crate::memo::Memo;
 use crate::TraceEvent;
 
 /// One trace split against one indexing scheme: event `i` touches set
@@ -65,19 +66,47 @@ impl DecomposedTrace {
     /// `line_size`-byte lines and `set_bits` index bits.
     #[must_use]
     pub fn decompose(events: &[TraceEvent], line_size: u64, set_bits: u32) -> Self {
-        let mask = (1u64 << set_bits) - 1;
-        let mut sets = Vec::with_capacity(events.len());
-        let mut tags = Vec::with_capacity(events.len());
-        for event in events {
-            let line = event.access.addr.line(line_size).raw();
-            sets.push((line & mask) as u32);
-            tags.push(line >> set_bits);
-        }
+        let mut sets = vec![0; events.len()].into_boxed_slice();
+        let mut tags = vec![0; events.len()].into_boxed_slice();
+        Self::split_into(
+            events.iter().copied(),
+            line_size,
+            set_bits,
+            &mut sets,
+            &mut tags,
+        );
         DecomposedTrace {
-            sets: sets.into_boxed_slice(),
-            tags: tags.into_boxed_slice(),
+            sets,
+            tags,
             set_bits,
         }
+    }
+
+    /// Splits events from `events` into `(set, tag)` pairs for a cache
+    /// with `line_size`-byte lines and `set_bits` index bits, writing
+    /// them in order to the front of `sets` and `tags`. Stops when
+    /// `events` runs out or the shorter buffer is full, without taking
+    /// an event it cannot store, and returns the number of pairs
+    /// written — so a generator is split chunk by chunk by calling
+    /// this again with the same iterator.
+    pub fn split_into(
+        events: impl Iterator<Item = TraceEvent>,
+        line_size: u64,
+        set_bits: u32,
+        sets: &mut [u32],
+        tags: &mut [u64],
+    ) -> usize {
+        let mask = (1u64 << set_bits) - 1;
+        let mut written = 0;
+        // The buffers lead the zip, so a full buffer ends the loop
+        // before another event is pulled.
+        for ((set, tag), event) in sets.iter_mut().zip(tags.iter_mut()).zip(events) {
+            let line = event.access.addr.line(line_size).raw();
+            *set = (line & mask) as u32;
+            *tag = line >> set_bits;
+            written += 1;
+        }
+        written
     }
 
     /// Builds a decomposed trace directly from parallel `sets`/`tags`
@@ -172,26 +201,13 @@ pub struct DecomposedKey {
     pub set_bits: u32,
 }
 
-/// One map slot: cloned out under the map lock, initialized outside it
-/// so distinct keys can decompose concurrently.
-type DecomposedCell = Arc<OnceLock<Arc<DecomposedTrace>>>;
-
-/// One distance-memo slot, same discipline as [`DecomposedCell`].
-type DistanceCell = Arc<OnceLock<Arc<[u32]>>>;
-
 /// A memoizing store of decomposed traces, mirroring
-/// [`crate::arena::TraceArena`]: the map mutex is held only to look up
-/// or insert a per-key [`OnceLock`], never while decomposing, so
-/// distinct keys split concurrently while racing requests for the same
-/// key serialize and share one allocation.
+/// [`crate::arena::TraceArena`]: distinct keys split concurrently
+/// while racing requests for the same key share one allocation.
 #[derive(Debug, Default)]
 pub struct DecomposedArena {
-    map: Mutex<FxHashMap<DecomposedKey, DecomposedCell>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    distances: Mutex<FxHashMap<(ArenaKey, u64), DistanceCell>>,
-    dist_hits: AtomicU64,
-    dist_misses: AtomicU64,
+    traces: Memo<DecomposedKey, Arc<DecomposedTrace>>,
+    distances: Memo<(ArenaKey, u64), Arc<[u32]>>,
 }
 
 impl DecomposedArena {
@@ -229,49 +245,33 @@ impl DecomposedArena {
                 key.workload, key.seed, key.events
             )
         });
-        let cell = {
-            let key = DecomposedKey {
-                trace: key,
-                line_size,
-                set_bits,
-            };
-            // Poison recovery: entries are inserted whole, so another
-            // thread's panic cannot leave a half-written slot —
-            // continuing with the inner map is sound (and keeps this
-            // replay path free of panicking calls).
-            let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(map.entry(key).or_default())
+        let key = DecomposedKey {
+            trace: key,
+            line_size,
+            set_bits,
         };
-        let mut decomposed = false;
-        let result = cell.get_or_init(|| {
+        self.traces.get_or_build(key, || {
             sim_core::span::scope(
                 sim_core::span::ScopeKind::Subsystem,
                 "arena_decompose",
                 "arena",
-                || span_label.clone().unwrap_or_default(),
+                || span_label.unwrap_or_default(),
                 || {
                     // Injection site: transient faults retry inside the gate;
                     // a persistent one unwinds via panic_any (no panicking
-                    // macro on this replay path), leaving the `OnceLock`
-                    // uninitialized so a retried cell re-attempts the split.
+                    // macro on this replay path), leaving the key unbuilt so
+                    // a retried cell re-attempts the split.
                     if let Err(fault) =
                         sim_core::fault::gate(sim_core::fault::FaultSite::ArenaMaterialize)
                     {
                         std::panic::panic_any(fault);
                     }
-                    decomposed = true;
                     let d = DecomposedTrace::decompose(&trace(), line_size, set_bits);
                     sim_core::span::add_events(d.len() as u64);
                     Arc::new(d)
                 },
             )
-        });
-        if decomposed {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(result)
+        })
     }
 
     /// Returns the per-event LRU stack distances of the trace
@@ -293,34 +293,19 @@ impl DecomposedArena {
     ) -> Arc<[u32]> {
         let span_label = sim_core::span::active()
             .then(|| format!("{}/{}/{}/ls{line_size}", key.workload, key.seed, key.events));
-        let cell = {
-            let mut map = self
-                .distances
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(map.entry((key, line_size)).or_default())
-        };
-        let mut built = false;
-        let result = cell.get_or_init(|| {
+        self.distances.get_or_build((key, line_size), || {
             sim_core::span::scope(
                 sim_core::span::ScopeKind::Subsystem,
                 "arena_distances",
                 "arena",
-                || span_label.clone().unwrap_or_default(),
+                || span_label.unwrap_or_default(),
                 || {
-                    built = true;
                     let d: Arc<[u32]> = distances().into();
                     sim_core::span::add_events(d.len() as u64);
                     d
                 },
             )
-        });
-        if built {
-            self.dist_misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.dist_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(result)
+        })
     }
 
     /// `(hits, misses)` counters of the distance memo (see
@@ -328,37 +313,21 @@ impl DecomposedArena {
     /// array vs requests that built one.
     #[must_use]
     pub fn distance_stats(&self) -> (u64, u64) {
-        (
-            self.dist_hits.load(Ordering::Relaxed),
-            self.dist_misses.load(Ordering::Relaxed),
-        )
+        self.distances.stats()
     }
 
     /// `(hits, misses)` counters: requests served by replay vs
     /// requests that decomposed.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.traces.stats()
     }
 
     /// Drops every resident decomposition and distance memo
     /// (outstanding `Arc`s stay valid) and resets the counters.
     pub fn clear(&self) {
-        self.distances
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.dist_hits.store(0, Ordering::Relaxed);
-        self.dist_misses.store(0, Ordering::Relaxed);
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.distances.clear();
+        self.traces.clear();
     }
 }
 
@@ -368,6 +337,7 @@ mod tests {
     use crate::pattern::SequentialSweep;
     use crate::TraceSource;
     use sim_core::Addr;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn sweep_events(n: usize) -> Arc<[TraceEvent]> {
         let src = SequentialSweep::new(Addr::new(0x4000), 64 * 1024, 8);
