@@ -52,12 +52,15 @@ struct FullyAssocLru {
 }
 
 impl FullyAssocLru {
+    /// An empty shadow cache. Nothing is allocated until the first
+    /// access, so an oracle that is never fed (an accuracy evaluator
+    /// given caller-supplied verdicts) costs no memory.
     fn new(capacity_lines: usize) -> Self {
         assert!(capacity_lines > 0, "oracle cache needs capacity");
         FullyAssocLru {
             capacity_lines,
-            stamps: FxHashMap::with_capacity_and_hasher(capacity_lines * 2, Default::default()),
-            order: VecDeque::with_capacity(capacity_lines * 2),
+            stamps: FxHashMap::default(),
+            order: VecDeque::new(),
             clock: 0,
         }
     }

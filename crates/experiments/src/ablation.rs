@@ -78,27 +78,41 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
             cells.push((name.clone(), geom, depth));
         }
     }
-    crate::par_map(cells, |(config, geom, depth)| {
-        let mut total = AccuracyReport::default();
-        for w in full_suite() {
-            let report = crate::probe::cell(
-                "ablation",
-                || format!("depth/{config}-d{depth}/{}", w.name()),
-                || {
-                    let dir = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
-                    let mut eval = AccuracyEvaluator::with_classifier(geom, dir);
-                    crate::replay_accuracy(&w, events, &mut eval);
-                    eval.finish()
-                },
-            );
-            total.merge(&report);
-        }
-        DepthPoint {
-            config,
-            depth,
-            report: total,
-        }
-    })
+    let passes: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
+        let mut evals: Vec<AccuracyEvaluator<ShadowDirectory>> = cells
+            .iter()
+            .map(|&(_, geom, depth)| {
+                let dir = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
+                AccuracyEvaluator::with_classifier(geom, dir)
+            })
+            .collect();
+        crate::accuracy_pass(
+            "ablation",
+            &w,
+            events,
+            |i| {
+                let (config, _, depth) = &cells[i];
+                format!("depth/{config}-d{depth}/{}", w.name())
+            },
+            evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer),
+        );
+        evals.into_iter().map(AccuracyEvaluator::finish).collect()
+    });
+    cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, (config, _, depth))| {
+            let mut report = AccuracyReport::default();
+            for reports in &passes {
+                report.merge(&reports[i]);
+            }
+            DepthPoint {
+                config,
+                depth,
+                report,
+            }
+        })
+        .collect()
 }
 
 fn window_sweep(events: usize) -> Vec<WindowPoint> {

@@ -8,7 +8,7 @@
 use cache_model::CacheGeometry;
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::TagBits;
-use workloads::{full_suite, Workload};
+use workloads::full_suite;
 
 use crate::table::pct_ratio;
 use crate::Table;
@@ -55,12 +55,6 @@ pub fn configurations() -> Vec<(String, CacheGeometry)> {
         .collect()
 }
 
-fn evaluate(workload: &Workload, geom: CacheGeometry, events: usize) -> AccuracyReport {
-    let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    crate::replay_accuracy(workload, events, &mut eval);
-    eval.finish()
-}
-
 /// Trace events this figure simulates: one pass per (configuration,
 /// workload) cell.
 #[must_use]
@@ -69,20 +63,34 @@ pub fn simulated_events(events: usize) -> u64 {
 }
 
 /// Runs the Figure 1 experiment with `events` references per
-/// workload.
+/// workload: one accuracy pass per workload feeds all four
+/// configurations.
 #[must_use]
 pub fn run(events: usize) -> Fig1 {
-    let configs = configurations()
+    let configs = configurations();
+    let passes: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
+        let mut evals: Vec<AccuracyEvaluator> = configs
+            .iter()
+            .map(|&(_, geom)| AccuracyEvaluator::new(geom, TagBits::Full))
+            .collect();
+        crate::accuracy_pass(
+            "fig1",
+            &w,
+            events,
+            |i| format!("{}/{}", configs[i].0, w.name()),
+            evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer),
+        );
+        evals.into_iter().map(AccuracyEvaluator::finish).collect()
+    });
+    let configs = configs
         .into_iter()
-        .map(|(name, geom)| {
-            let benchmarks: Vec<(String, AccuracyReport)> = crate::par_map(full_suite(), |w| {
-                let report = crate::probe::cell(
-                    "fig1",
-                    || format!("{name}/{}", w.name()),
-                    || evaluate(&w, geom, events),
-                );
-                (w.name().to_owned(), report)
-            });
+        .enumerate()
+        .map(|(c, (name, _))| {
+            let benchmarks: Vec<(String, AccuracyReport)> = full_suite()
+                .iter()
+                .zip(&passes)
+                .map(|(w, reports)| (w.name().to_owned(), reports[c]))
+                .collect();
             let mut average = AccuracyReport::default();
             for (_, report) in &benchmarks {
                 average.merge(report);

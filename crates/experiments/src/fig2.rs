@@ -44,29 +44,36 @@ pub fn widths() -> Vec<TagBits> {
 }
 
 /// Runs the Figure 2 experiment with `events` references per
-/// workload.
+/// workload: one accuracy pass per workload feeds every tag width.
 #[must_use]
 pub fn run(events: usize) -> Fig2 {
     let geom = CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry is valid");
-    let points = crate::par_map(widths(), |bits| {
-        let mut total = AccuracyReport::default();
-        for w in full_suite() {
-            let report = crate::probe::cell(
-                "fig2",
-                || format!("{bits}/{}", w.name()),
-                || {
-                    let mut eval = AccuracyEvaluator::new(geom, bits);
-                    crate::replay_accuracy(&w, events, &mut eval);
-                    eval.finish()
-                },
-            );
-            total.merge(&report);
-        }
-        SweepPoint {
-            bits,
-            report: total,
-        }
+    let widths = widths();
+    let passes: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
+        let mut evals: Vec<AccuracyEvaluator> = widths
+            .iter()
+            .map(|&bits| AccuracyEvaluator::new(geom, bits))
+            .collect();
+        crate::accuracy_pass(
+            "fig2",
+            &w,
+            events,
+            |i| format!("{}/{}", widths[i], w.name()),
+            evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer),
+        );
+        evals.into_iter().map(AccuracyEvaluator::finish).collect()
     });
+    let points = widths
+        .iter()
+        .enumerate()
+        .map(|(i, &bits)| {
+            let mut report = AccuracyReport::default();
+            for reports in &passes {
+                report.merge(&reports[i]);
+            }
+            SweepPoint { bits, report }
+        })
+        .collect();
     Fig2 { points, events }
 }
 

@@ -32,17 +32,23 @@
 //! Workload traces are materialized once per `(workload, seed,
 //! events)` in the shared [`trace_gen::arena`] — see [`trace_for`] —
 //! and replayed by every cell, so no driver pays trace synthesis more
-//! than once. The accuracy cells (fig1, fig2, the MRC cross-check,
-//! the shadow-depth ablation) go one step further through their one
-//! entry point, [`replay_accuracy`]: the per-event `(set, tag)` split
-//! is precomputed once per (workload, geometry) ([`decomposed_for`])
-//! and streamed into the cache kernel's block entry points, and the
-//! 3C ground truth is read off per-event LRU stack distances memoized
-//! once per (workload, line size) ([`distances_for`]) instead of a
-//! per-cell oracle pass. Under `repro --stream` ([`set_stream_mode`])
-//! drivers bypass the arenas entirely and pipe generators through a
-//! chunked O([`STREAM_CHUNK`])-memory pipeline with byte-identical
-//! output.
+//! than once. The accuracy drivers (fig1, fig2, the MRC family, the
+//! shadow-depth ablation) go one step further through their one entry
+//! point, [`replay_accuracy`]: one pass per workload feeds every cell
+//! the driver needs for it ([`PassConsumer`]s: fig1's four geometries,
+//! fig2's eleven tag widths, the MRC curve and its four cells, the
+//! ablation's sixteen shadow directories) block by block in
+//! lock-step. Each cell reads the trace's `(set, tag)` split at its
+//! geometry and reads its 3C ground truth off per-event LRU stack
+//! distances, which give the verdict for every capacity at once, so
+//! no cell runs an oracle of its own. From the arenas, the split is
+//! precomputed once per (workload, geometry) ([`decomposed_for`]) and
+//! the distances once per (workload, line size) ([`distances_for`]).
+//! Under `repro --stream` ([`set_stream_mode`]) no arena is touched:
+//! each pass runs the generator once, splits each block once per
+//! distinct geometry and computes the distances with one stack-distance
+//! engine, in O(chunk + blocks × geometries + distinct lines) memory,
+//! with byte-identical output.
 //!
 //! Every driver takes the number of trace events per workload, so the
 //! same code serves quick smoke tests, Criterion benches, and the full
@@ -113,12 +119,18 @@ pub const fn replay_block_size() -> usize {
 /// of materializing whole traces in the arenas (`repro --stream`).
 static STREAM: AtomicBool = AtomicBool::new(false);
 
-/// Selects streaming replay (`repro --stream`): drivers pipe each
-/// workload generator through a chunked generate → decompose → kernel
-/// pipeline with O([`STREAM_CHUNK`]) memory, bypassing the trace and
-/// decomposition arenas entirely. Output is byte-identical to arena
-/// replay at any thread count — both replay the same generator stream
-/// through the same kernels — only residency changes.
+/// Selects streaming replay (`repro --stream`). Each accuracy pass
+/// ([`replay_accuracy`]) then runs one workload generator, splits each
+/// block once per distinct geometry and computes its stack distances
+/// in the same pass, and the CPU-model drivers read live generators.
+/// No arena is touched: a pass holds O(chunk + blocks × geometries +
+/// distinct lines) — one [`STREAM_CHUNK`] of addresses, one
+/// [`replay_block_size`] block of `(set, tag)` pairs per distinct
+/// geometry, and the stack-distance engine's line index — whatever
+/// the trace length. Output is byte-identical to arena replay at any
+/// thread count: both replay the same generator stream through the
+/// same kernels against the same ground truth; only residency
+/// changes.
 pub fn set_stream_mode(stream: bool) {
     STREAM.store(stream, Ordering::Relaxed);
 }
@@ -129,166 +141,265 @@ pub fn stream_mode() -> bool {
     STREAM.load(Ordering::Relaxed)
 }
 
-/// Events per chunk of the streaming pipeline: the generator fills
-/// one `(set, tag)` chunk, the kernel replays it in
-/// [`replay_block_size`] blocks, and the buffers are reused — peak
-/// memory is O(chunk) per cell regardless of trace length. Chunk
-/// boundaries cannot change results (block replay is
-/// boundary-insensitive by the differential equivalence the block
-/// kernel is tested for).
+/// Events per generator fill of a streamed accuracy pass: the
+/// generator writes one chunk of byte addresses into a reused buffer,
+/// which the pass splits and replays in [`replay_block_size`] blocks,
+/// so the chunk bounds the pass's trace residency whatever the trace
+/// length. Chunk boundaries cannot change results: every consumer
+/// sees the same blocks in the same order. Public so the benchmark's
+/// traced replay (`perfbench`) streams in the same chunks.
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
-/// One accuracy-family cell's replay input: either arena-resident
-/// forms (the decomposed trace and its stack distances) or a streamed
-/// generator. Only this type's own methods look at which.
+/// One consumer of an accuracy pass ([`replay_accuracy`]): an
+/// [`AccuracyEvaluator`](mct::accuracy::AccuracyEvaluator) — one
+/// fig1, fig2, ablation or MRC cell — or a miss-ratio curve
+/// ([`mrc::CurveBuilder`]).
+pub trait PassConsumer {
+    /// The geometry the consumer's blocks are split against. Its line
+    /// size also selects the stack distances it reads.
+    fn geometry(&self) -> CacheGeometry;
+
+    /// Consumes one block of the trace, in trace order: the `(set,
+    /// tag)` pairs at [`Self::geometry`] and each event's LRU stack
+    /// distance at its line size, in the memo encoding of
+    /// [`::mrc::StackDistanceEngine::distances_of_parts`].
+    fn observe(&mut self, sets: &[u32], tags: &[u64], distances: &[u32]);
+}
+
+/// An accuracy cell reads its three-C verdicts off the stack
+/// distances: a miss is a conflict miss iff its distance fits the
+/// geometry's line capacity ([`::mrc::fits`]), so no cell runs an
+/// oracle of its own.
+impl<T: mct::EvictionClassifier> PassConsumer for mct::accuracy::AccuracyEvaluator<T> {
+    fn geometry(&self) -> CacheGeometry {
+        *self.cache().geometry()
+    }
+
+    fn observe(&mut self, sets: &[u32], tags: &[u64], distances: &[u32]) {
+        let capacity = self.geometry().num_lines() as u64;
+        let verdicts = distances.iter().map(|&d| ::mrc::fits(d, capacity));
+        self.observe_block_with_truth(sets, tags, verdicts);
+    }
+}
+
+/// The input of one accuracy pass: arena-resident forms or one
+/// streamed generator. Only this type's own methods look at which.
 #[derive(Debug)]
 enum ReplayTrace {
-    /// Arena-memoized forms, shared across cells.
+    /// Arena-memoized forms, shared across passes.
     Arena {
-        /// Trace-order `(set, tag)` arrays.
-        trace: Arc<DecomposedTrace>,
-        /// The memoized per-event LRU stack distances of the same
-        /// trace ([`distances_for`]): the three-C ground truth of
-        /// every capacity at once.
+        /// Per split: the trace-order `(set, tag)` arrays
+        /// ([`decomposed_for`]).
+        traces: Vec<Arc<DecomposedTrace>>,
+        /// The trace's memoized stack distances ([`distances_for`]).
         distances: Arc<[u32]>,
     },
-    /// Chunked generator replay (`repro --stream`): nothing resident
-    /// beyond one chunk.
+    /// One chunked generator, split and ground-truthed as it streams
+    /// (`repro --stream`): nothing resident beyond one chunk.
     Stream {
         /// The workload whose generator is streamed.
         workload: workloads::Workload,
-        /// Geometry the chunks are decomposed against.
-        geom: CacheGeometry,
         /// Total events to stream.
         events: usize,
     },
 }
 
 impl ReplayTrace {
-    /// The replay input for `(workload, SEED, events)` against
-    /// `geom`: the arena-memoized decomposed trace and its
-    /// stack-distance memo, or a streamed generator under
-    /// [`stream_mode`]. The distance memo is built here, on the first
-    /// replay of a trace, never when the arenas are warmed.
-    fn new(workload: &workloads::Workload, geom: &CacheGeometry, events: usize) -> Self {
+    /// The input for `(workload, SEED, events)` split at each of
+    /// `splits` (geometries of one line size): the arena-memoized
+    /// decomposed traces and stack-distance memo, or a streamed
+    /// generator under [`stream_mode`]. The distance memo is built
+    /// here, on the first replay of a trace, never when the arenas are
+    /// warmed.
+    fn new(workload: &workloads::Workload, events: usize, splits: &[CacheGeometry]) -> Self {
         if stream_mode() {
             return ReplayTrace::Stream {
                 workload: *workload,
-                geom: *geom,
                 events,
             };
         }
-        let trace = decomposed_for(workload, geom, events);
-        let distances = distances_for(workload, geom, events);
-        ReplayTrace::Arena { trace, distances }
-    }
-
-    /// The whole trace's memoized stack distances, if arena-resident.
-    fn distances(&self) -> Option<&[u32]> {
-        match self {
-            ReplayTrace::Arena { distances, .. } => Some(distances),
-            ReplayTrace::Stream { .. } => None,
+        ReplayTrace::Arena {
+            traces: splits
+                .iter()
+                .map(|geom| decomposed_for(workload, geom, events))
+                .collect(),
+            distances: distances_for(workload, &splits[0], events),
         }
     }
 
     /// Feeds the input to `f` in trace order, in blocks of
-    /// [`replay_block_size`] `(sets, tags)` pairs, under a span named
-    /// `span` — or, for `None`, after the input kind (`replay_block`
-    /// for arena blocks, `replay_stream` for the generator pipeline).
+    /// [`replay_block_size`] events: each block once per split, with
+    /// its stack distances. The walk runs under one span —
+    /// `replay_block` for arena blocks, `replay_stream` for the
+    /// generator pipeline — that is credited with `cell_events`.
     ///
-    /// Arena blocks come with their slice of the stack-distance memo.
-    /// Stream blocks come with `None`: the generator fills one
-    /// [`STREAM_CHUNK`] of pooled `(set, tag)` buffers at a time, so
-    /// memory stays O(chunk) whatever the trace length.
+    /// A stream fills one [`STREAM_CHUNK`] of addresses at a time from
+    /// the generator, splits each block into one block buffer per
+    /// split, and records the first split's block in one
+    /// [`::mrc::StackDistanceEngine`].
     fn for_each_block(
         &self,
-        span: Option<&'static str>,
-        mut f: impl FnMut(&[u32], &[u64], Option<&[u32]>),
+        splits: &[CacheGeometry],
+        cell_events: u64,
+        mut f: impl FnMut(&[(&[u32], &[u64])], &[u32]),
     ) {
         match self {
-            ReplayTrace::Arena { trace, distances } => {
-                let _span = sim_core::span::enter(span.unwrap_or("replay_block"));
-                sim_core::span::add_events(trace.len() as u64);
-                let mut distances = distances.chunks(REPLAY_BLOCK);
-                trace.for_each_block(REPLAY_BLOCK, |sets, tags| {
-                    f(sets, tags, distances.next());
-                });
+            ReplayTrace::Arena { traces, distances } => {
+                let _span = sim_core::span::enter("replay_block");
+                sim_core::span::add_events(cell_events);
+                for start in (0..distances.len()).step_by(REPLAY_BLOCK) {
+                    let end = (start + REPLAY_BLOCK).min(distances.len());
+                    let parts: Vec<(&[u32], &[u64])> = traces
+                        .iter()
+                        .map(|t| (&t.sets()[start..end], &t.tags()[start..end]))
+                        .collect();
+                    f(&parts, &distances[start..end]);
+                }
             }
-            ReplayTrace::Stream {
-                workload,
-                geom,
-                events,
-            } => {
-                let _span = sim_core::span::enter(span.unwrap_or("replay_stream"));
-                sim_core::span::add_events(*events as u64);
+            ReplayTrace::Stream { workload, events } => {
+                let _span = sim_core::span::enter("replay_stream");
+                sim_core::span::add_events(cell_events);
                 let chunk = STREAM_CHUNK.min(*events);
                 if chunk == 0 {
                     return;
                 }
-                let mut source =
-                    trace_gen::TraceSource::take_events(workload.source(SEED), *events);
-                // Chunk buffers come from (and return to) the kernel's
-                // buffer pool, so streaming traffic shows up in the same
-                // `trace-repro/1` pool counters as the kernel arrays.
-                let mut sets = cache_model::pool::take_u32_zeroed(chunk);
-                let mut tags = cache_model::pool::take_u64(chunk);
-                loop {
-                    let n = DecomposedTrace::split_into(
-                        &mut source,
-                        geom.line_size(),
-                        geom.set_bits(),
-                        &mut sets,
-                        &mut tags,
-                    );
-                    if n == 0 {
-                        break;
+                let block = REPLAY_BLOCK.min(chunk);
+                let mut source = workload.source(SEED);
+                // The chunk buffer comes from (and returns to) the
+                // kernel's buffer pool, so streaming traffic shows up in
+                // the same `trace-repro/1` pool counters as the kernel
+                // arrays.
+                let mut addrs = cache_model::pool::take_u64(chunk);
+                let mut blocks = vec![(vec![0u32; block], vec![0u64; block]); splits.len()];
+                let mut engine = ::mrc::StackDistanceEngine::new();
+                let mut distances = Vec::with_capacity(block);
+                let mut left = *events;
+                while left > 0 {
+                    let filled = left.min(chunk);
+                    left -= filled;
+                    for addr in &mut addrs[..filled] {
+                        *addr = source.next_event().access.addr.raw();
                     }
-                    for (s, t) in sets[..n]
-                        .chunks(REPLAY_BLOCK)
-                        .zip(tags[..n].chunks(REPLAY_BLOCK))
-                    {
-                        f(s, t, None);
+                    for block_addrs in addrs[..filled].chunks(REPLAY_BLOCK) {
+                        let n = block_addrs.len();
+                        for (geom, (sets, tags)) in splits.iter().zip(&mut blocks) {
+                            DecomposedTrace::split_into(
+                                block_addrs.iter().map(|&a| sim_core::Addr::new(a)),
+                                geom.line_size(),
+                                geom.set_bits(),
+                                sets,
+                                tags,
+                            );
+                        }
+                        let (sets, tags) = &blocks[0];
+                        distances.clear();
+                        engine.record_parts_distances(
+                            &sets[..n],
+                            &tags[..n],
+                            splits[0].set_bits(),
+                            &mut distances,
+                        );
+                        let parts: Vec<(&[u32], &[u64])> = blocks
+                            .iter()
+                            .map(|(sets, tags)| (&sets[..n], &tags[..n]))
+                            .collect();
+                        f(&parts, &distances);
                     }
                 }
-                cache_model::pool::recycle_u32(sets);
-                cache_model::pool::recycle_u64(tags);
+                cache_model::pool::recycle_u64(addrs);
             }
         }
     }
 }
 
-/// The one accuracy-cell entry point (fig1, fig2, the MRC cross-check
-/// cells, the shadow-depth ablation): replays `(workload, SEED,
-/// events)` through `eval` at its own geometry and counts the events
-/// in the telemetry.
+/// The one accuracy entry point (fig1, fig2, the MRC family, the
+/// shadow-depth ablation): one pass over `(workload, SEED, events)`
+/// that feeds every consumer each block in lock-step and counts
+/// `events` per consumer in the telemetry. Each consumer still
+/// classifies every event; only the input and the ground truth are
+/// shared.
 ///
-/// Input is arena-resident unless [`stream_mode`] is set; both replay
-/// in event blocks of [`replay_block_size`]. Arena blocks take their
-/// three-C verdicts from the stack-distance memo — a miss is a
-/// conflict miss iff its distance is below the geometry's line
-/// capacity — so no cell runs an oracle of its own. Stream blocks
-/// run the evaluator's owned oracle, since nothing is resident to
-/// memoize. Results are identical on both (block replay is
-/// differential-tested against per-event replay); the stream exists
-/// purely for memory. When a probe sink is armed, blocks replay in
-/// per-event order so the emitted event stream is byte-identical to
-/// unbatched replay.
-pub fn replay_accuracy<T: mct::EvictionClassifier>(
+/// Input is arena-resident unless [`stream_mode`] is set. An arena
+/// pass reads one decomposed trace per distinct geometry and the
+/// trace's memoized stack distances. A stream pass runs one
+/// generator, splits each block once per distinct geometry and
+/// computes the block's distances with one
+/// [`::mrc::StackDistanceEngine`] — Mattson's one-pass identity: one
+/// distance gives the verdict for every capacity. Both replay in
+/// blocks of [`replay_block_size`] and give identical results. When a
+/// probe sink is armed, evaluators replay each block per event, so
+/// the emitted event stream is byte-identical to unbatched replay.
+///
+/// # Panics
+///
+/// Panics if the consumers' geometries differ in line size: a pass
+/// has one stack-distance stream.
+pub fn replay_accuracy(
     workload: &workloads::Workload,
     events: usize,
-    eval: &mut mct::accuracy::AccuracyEvaluator<T>,
+    consumers: &mut [&mut dyn PassConsumer],
 ) {
-    let geom = *eval.cache().geometry();
-    let trace = ReplayTrace::new(workload, &geom, events);
-    telemetry::record_events(events as u64);
-    let capacity = geom.num_lines() as u64;
-    trace.for_each_block(None, |sets, tags, distances| match distances {
-        Some(d) => {
-            let verdicts = d.iter().map(|&d| ::mrc::fits(d, capacity));
-            eval.observe_block_with_truth(sets, tags, verdicts);
+    let Some(first) = consumers.first() else {
+        return;
+    };
+    let line_size = first.geometry().line_size();
+    // Consumers whose geometries index alike share one split.
+    let mut splits: Vec<CacheGeometry> = Vec::new();
+    let consumer_splits: Vec<usize> = consumers
+        .iter()
+        .map(|consumer| {
+            let geom = consumer.geometry();
+            assert_eq!(geom.line_size(), line_size, "one line size per pass");
+            splits
+                .iter()
+                .position(|g| g.set_bits() == geom.set_bits())
+                .unwrap_or_else(|| {
+                    splits.push(geom);
+                    splits.len() - 1
+                })
+        })
+        .collect();
+    let trace = ReplayTrace::new(workload, events, &splits);
+    let cell_events = (events * consumers.len()) as u64;
+    telemetry::record_events(cell_events);
+    trace.for_each_block(&splits, cell_events, |parts, distances| {
+        for (consumer, &split) in consumers.iter_mut().zip(&consumer_splits) {
+            let (sets, tags) = parts[split];
+            consumer.observe(sets, tags, distances);
         }
-        None => eval.observe_block(sets, tags),
     });
+}
+
+/// Runs a driver's accuracy pass over `workload`: consumer `i` is the
+/// driver's cell `label(i)` of `target`.
+///
+/// Unprobed, the whole pass is one `cell_run` scope labelled
+/// `pass/{workload}`. With a probe armed, every cell replays as its
+/// own one-consumer pass inside its own [`probe::cell`], so the
+/// `obs-repro/1` output is exactly that of per-cell replay.
+pub(crate) fn accuracy_pass<'a>(
+    target: &'static str,
+    workload: &workloads::Workload,
+    events: usize,
+    label: impl Fn(usize) -> String,
+    consumers: impl IntoIterator<Item = &'a mut dyn PassConsumer>,
+) {
+    let mut consumers: Vec<_> = consumers.into_iter().collect();
+    if probe::enabled() {
+        for (i, consumer) in consumers.iter_mut().enumerate() {
+            probe::cell(
+                target,
+                || label(i),
+                || replay_accuracy(workload, events, std::slice::from_mut(consumer)),
+            );
+        }
+    } else {
+        probe::cell(
+            target,
+            || format!("pass/{}", workload.name()),
+            || replay_accuracy(workload, events, &mut consumers),
+        );
+    }
 }
 
 /// The seed all experiments use (workload identity is mixed in by the

@@ -10,26 +10,28 @@
 //! the MRC's miss ratio at a geometry's line capacity is exactly the
 //! oracle's compulsory + capacity miss rate for that geometry.
 //!
-//! This driver runs the [`mrc`] crate's engines over every workload
-//! (the SPEC95-analog suite plus the kernel-taxonomy patterns),
-//! evaluates each curve on a fixed capacity ladder, and then
-//! cross-checks the curve against the MCT sweep of
-//! [`crate::fig1::configurations`]: per (configuration, workload)
+//! This driver runs one accuracy pass ([`crate::replay_accuracy`]) per
+//! workload (the SPEC95-analog suite plus the kernel-taxonomy
+//! patterns) that feeds the workload's curve ([`CurveBuilder`]) and
+//! its MCT cells at every [`crate::fig1::configurations`] geometry.
+//! It evaluates each curve on a fixed capacity ladder and
+//! cross-checks it against the MCT cells: per (configuration, workload)
 //! cell it reports the MRC-derived capacity-miss estimate next to the
 //! fraction of misses the MCT *labelled* capacity. The gap between
 //! the two columns is the MCT's capacity-side classification error,
 //! measured against an independent ground truth that shares no code
 //! with the three-C oracle.
 //!
-//! With `--mrc-sample R` the exact engine is replaced by the SHARDS
-//! fixed-rate spatial sampler, which keeps O(sampled lines) state —
-//! under `--stream` the whole pass holds one chunk plus the sampled
-//! index, regardless of trace length.
+//! With `--mrc-sample R` the curve comes from the SHARDS fixed-rate
+//! spatial sampler, which keeps O(sampled lines) state. The MCT cells
+//! still read their three-C verdicts off exact stack distances, so
+//! under `--stream` each pass holds one chunk, the exact engine's line
+//! index and the sampled index, regardless of trace length.
 
 use cache_model::CacheGeometry;
 use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
 use mct::TagBits;
-use mrc::{CurvePoint, DistanceHistogram, ShardsEngine, StackDistanceEngine};
+use mrc::{CurvePoint, DistanceHistogram, ShardsEngine};
 use workloads::Workload;
 
 use crate::telemetry::{json_f64, json_string};
@@ -52,7 +54,7 @@ pub fn workload_suite() -> Vec<Workload> {
 }
 
 /// One workload's miss-ratio curve on [`CAPACITY_LADDER`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadCurve {
     /// Workload name.
     pub workload: String,
@@ -140,91 +142,132 @@ fn ladder_points(miss_ratio: impl Fn(u64) -> f64) -> Vec<CurvePoint> {
         .collect()
 }
 
-fn curve_for(
-    workload: &Workload,
-    geom: CacheGeometry,
+/// One workload's curve as a consumer of its accuracy pass
+/// ([`crate::replay_accuracy`]): the exact engine's histogram, read
+/// off the pass's stack distances, or a SHARDS engine fed the pass's
+/// line addresses.
+#[derive(Debug)]
+pub struct CurveBuilder {
+    workload: String,
     events: usize,
-    sample: Option<f64>,
-) -> WorkloadCurve {
-    let trace = crate::ReplayTrace::new(workload, &geom, events);
-    crate::telemetry::record_events(events as u64);
-    let set_bits = geom.set_bits();
-    let exact = |hist: &DistanceHistogram| WorkloadCurve {
-        workload: workload.name().to_owned(),
-        events: events as u64,
-        sampled_events: hist.total(),
-        // Every distinct line is cold exactly once.
-        distinct_lines: hist.cold(),
-        points: ladder_points(|c| hist.miss_ratio(c)),
-    };
-    match (trace.distances(), sample) {
-        // The arena's memoized distances are the exact engine's pass
-        // over this trace; their histogram is the engine's, so no
-        // second pass runs.
-        (Some(distances), None) => {
-            let _span = sim_core::span::enter("replay_mrc");
-            sim_core::span::add_events(distances.len() as u64);
-            exact(&DistanceHistogram::from_distances(distances))
+    geom: CacheGeometry,
+    engine: CurveEngine,
+}
+
+#[derive(Debug)]
+enum CurveEngine {
+    Exact(DistanceHistogram),
+    Sampled(ShardsEngine),
+}
+
+impl CurveBuilder {
+    /// A curve for `events` events of `workload`, over lines of
+    /// `geom`'s size: exact for `sample = None`, SHARDS at rate `R`
+    /// for `Some(R)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` is not a rate in `(0, 1]` (the CLI
+    /// validates it).
+    #[must_use]
+    pub fn new(
+        workload: &Workload,
+        events: usize,
+        geom: CacheGeometry,
+        sample: Option<f64>,
+    ) -> Self {
+        let engine = match sample {
+            None => CurveEngine::Exact(DistanceHistogram::new()),
+            Some(rate) => CurveEngine::Sampled(
+                ShardsEngine::new(rate).expect("sample rate validated by the CLI"),
+            ),
+        };
+        CurveBuilder {
+            workload: workload.name().to_owned(),
+            events,
+            geom,
+            engine,
         }
-        (None, None) => {
-            let mut engine = StackDistanceEngine::new();
-            trace.for_each_block(Some("replay_mrc"), |sets, tags, _| {
-                engine.record_parts_block(sets, tags, set_bits);
-            });
-            exact(engine.histogram())
+    }
+
+    /// The finished curve on [`CAPACITY_LADDER`].
+    #[must_use]
+    pub fn finish(self) -> WorkloadCurve {
+        let (sampled_events, distinct_lines, points) = match &self.engine {
+            // Every distinct line is cold exactly once.
+            CurveEngine::Exact(hist) => (
+                hist.total(),
+                hist.cold(),
+                ladder_points(|c| hist.miss_ratio(c)),
+            ),
+            CurveEngine::Sampled(engine) => (
+                engine.sampled_events(),
+                engine.distinct_sampled_lines(),
+                ladder_points(|c| engine.miss_ratio(c)),
+            ),
+        };
+        WorkloadCurve {
+            workload: self.workload,
+            events: self.events as u64,
+            sampled_events,
+            distinct_lines,
+            points,
         }
-        (_, Some(rate)) => {
-            let mut engine = ShardsEngine::new(rate).expect("sample rate validated by the CLI");
-            trace.for_each_block(Some("replay_mrc"), |sets, tags, _| {
-                engine.record_parts_block(sets, tags, set_bits);
-            });
-            WorkloadCurve {
-                workload: workload.name().to_owned(),
-                events: events as u64,
-                sampled_events: engine.sampled_events(),
-                distinct_lines: engine.distinct_sampled_lines(),
-                points: ladder_points(|c| engine.miss_ratio(c)),
+    }
+}
+
+impl crate::PassConsumer for CurveBuilder {
+    fn geometry(&self) -> CacheGeometry {
+        self.geom
+    }
+
+    fn observe(&mut self, sets: &[u32], tags: &[u64], distances: &[u32]) {
+        match &mut self.engine {
+            CurveEngine::Exact(hist) => hist.record_distances(distances),
+            CurveEngine::Sampled(engine) => {
+                engine.record_parts_block(sets, tags, self.geom.set_bits());
             }
         }
     }
 }
 
-fn mct_report(workload: &Workload, geom: CacheGeometry, events: usize) -> AccuracyReport {
-    let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    crate::replay_accuracy(workload, events, &mut eval);
-    eval.finish()
-}
-
-/// Runs the MRC family: curves for every workload, then the MCT
-/// cross-check over the fig1 geometry sweep.
+/// Runs the MRC family: one accuracy pass per workload feeds its
+/// curve and its MCT cross-check cells over the fig1 geometry sweep.
 #[must_use]
 pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
-    let suite = workload_suite();
-    // All fig1 geometries share 64 B lines, so one decomposition (the
-    // 16 KB DM shape, shared with the fig1 arena entries) serves every
-    // curve; stack distances depend only on the line address.
-    let base = crate::fig1::configurations()[0].1;
-    let curves: Vec<WorkloadCurve> = crate::par_map(suite.clone(), |w| {
-        crate::probe::cell(
+    let configs = crate::fig1::configurations();
+    // All fig1 geometries share 64 B lines, so the curve reads the
+    // same stack distances as the cells; the 16 KB DM split serves
+    // SHARDS, whose filter keys on the line address alone.
+    let base = configs[0].1;
+    let passes: Vec<(WorkloadCurve, Vec<AccuracyReport>)> = crate::par_map(workload_suite(), |w| {
+        let mut curve = CurveBuilder::new(&w, events, base, sample);
+        let mut evals: Vec<AccuracyEvaluator> = configs
+            .iter()
+            .map(|&(_, geom)| AccuracyEvaluator::new(geom, TagBits::Full))
+            .collect();
+        crate::accuracy_pass(
             "mrc",
-            || format!("curve/{}", w.name()),
-            || curve_for(&w, base, events, sample),
+            &w,
+            events,
+            |i| match i {
+                0 => format!("curve/{}", w.name()),
+                i => format!("{}/{}", configs[i - 1].0, w.name()),
+            },
+            std::iter::once(&mut curve as &mut dyn crate::PassConsumer)
+                .chain(evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer)),
+        );
+        (
+            curve.finish(),
+            evals.into_iter().map(AccuracyEvaluator::finish).collect(),
         )
     });
 
     let mut cells = Vec::new();
-    for (name, geom) in crate::fig1::configurations() {
-        let reports: Vec<(String, AccuracyReport)> = crate::par_map(suite.clone(), |w| {
-            let report = crate::probe::cell(
-                "mrc",
-                || format!("{name}/{}", w.name()),
-                || mct_report(&w, geom, events),
-            );
-            (w.name().to_owned(), report)
-        });
+    for (c, (name, geom)) in configs.iter().enumerate() {
         let capacity = geom.num_lines() as u64;
-        for (curve, (workload, r)) in curves.iter().zip(reports) {
-            debug_assert_eq!(curve.workload, workload);
+        for (curve, reports) in &passes {
+            let r = &reports[c];
             let accesses = r.accesses.max(1) as f64;
             // The MCT labels every miss Conflict or Capacity, so its
             // capacity-labelled count is the oracle-non-conflict
@@ -233,7 +276,7 @@ pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
                 r.capacity.numerator() + (r.conflict.denominator() - r.conflict.numerator());
             cells.push(CapacityCell {
                 config: name.clone(),
-                workload,
+                workload: curve.workload.clone(),
                 capacity_lines: capacity,
                 mrc_miss_ratio: curve.at(capacity).unwrap_or_else(|| {
                     unreachable!("geometry capacity missing from CAPACITY_LADDER")
@@ -246,7 +289,7 @@ pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
     MrcRun {
         sample,
         events,
-        curves,
+        curves: passes.into_iter().map(|(curve, _)| curve).collect(),
         cells,
     }
 }

@@ -8,16 +8,20 @@
 //! * **serial vs parallel** — rendered figure reports are bit-for-bit
 //!   identical whether the scheduler runs inline or on worker threads;
 //! * **telemetry accounting** — the per-figure `simulated_events`
-//!   formulas match the live counter the drivers feed.
+//!   formulas match the live counter the drivers feed, for every
+//!   accuracy driver in arena and in stream mode;
+//! * **stream residency** — a stream run builds no arena entry.
 //!
 //! Everything lives in ONE `#[test]` because the worker-thread cap
-//! ([`sim_core::parallel::set_max_threads`]) is process-global state:
-//! splitting these into separate tests would let the harness run them
-//! concurrently and race on it.
+//! ([`sim_core::parallel::set_max_threads`]) and stream mode are
+//! process-global state: splitting these into separate tests would
+//! let the harness run them concurrently and race on them.
 
 use std::sync::Arc;
 
 use experiments::cli::Target;
+use trace_gen::arena::TraceArena;
+use trace_gen::decomposed::DecomposedArena;
 use trace_gen::{TraceEvent, TraceSource};
 
 #[test]
@@ -70,6 +74,54 @@ fn repro_is_deterministic_across_schedules_and_replay() {
         Target::Fig3.simulated_events(EVENTS),
         "fig3 event formula must match the live counter"
     );
+
+    // Every accuracy driver's formula matches the live counter in
+    // both replay modes: each consumer of a shared pass still counts
+    // every event it classifies.
+    for stream in [false, true] {
+        if stream {
+            TraceArena::global().clear();
+            DecomposedArena::global().clear();
+        }
+        experiments::set_stream_mode(stream);
+        for target in [Target::Fig1, Target::Fig2, Target::Ablation] {
+            let before = experiments::telemetry::events_simulated();
+            let _ = target.run(EVENTS);
+            assert_eq!(
+                experiments::telemetry::events_simulated() - before,
+                target.simulated_events(EVENTS),
+                "{} event formula must match the live counter (stream: {stream})",
+                target.name()
+            );
+        }
+        for sample in [None, Some(0.01)] {
+            let before = experiments::telemetry::events_simulated();
+            let _ = experiments::mrc::run(EVENTS, sample);
+            assert_eq!(
+                experiments::telemetry::events_simulated() - before,
+                experiments::mrc::simulated_events(EVENTS),
+                "mrc ({sample:?}) event formula must match the live counter (stream: {stream})"
+            );
+        }
+        if stream {
+            assert_eq!(
+                TraceArena::global().stats().traces,
+                0,
+                "a stream run must materialize no trace"
+            );
+            assert_eq!(
+                DecomposedArena::global().stats().1,
+                0,
+                "a stream run must decompose nothing into the arena"
+            );
+            assert_eq!(
+                DecomposedArena::global().distance_stats().1,
+                0,
+                "a stream run must build no stack-distance memo"
+            );
+        }
+    }
+    experiments::set_stream_mode(false);
 
     // Parallel runs render byte-identical reports.
     sim_core::parallel::set_max_threads(4);

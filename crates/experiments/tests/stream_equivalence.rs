@@ -58,10 +58,10 @@ fn stream_and_large_geometry_replay_match_arena_trace_order() {
     let w = workloads::by_name("gcc").expect("gcc analog exists");
     let geom = CacheGeometry::new(16 * 1024, 2, 32).unwrap();
     let mut reference = AccuracyEvaluator::new(geom, TagBits::Low(8));
-    experiments::replay_accuracy(&w, big, &mut reference);
+    experiments::replay_accuracy(&w, big, &mut [&mut reference]);
     experiments::set_stream_mode(true);
     let mut streamed = AccuracyEvaluator::new(geom, TagBits::Low(8));
-    experiments::replay_accuracy(&w, big, &mut streamed);
+    experiments::replay_accuracy(&w, big, &mut [&mut streamed]);
     experiments::set_stream_mode(false);
     assert_eq!(
         reference.report(),
@@ -73,7 +73,7 @@ fn stream_and_large_geometry_replay_match_arena_trace_order() {
     // equal per-event trace-order replay of the same decomposed trace.
     let mrc_geom = CacheGeometry::new(4 * 1024 * 1024, 2, 64).unwrap();
     let mut via_replay = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
-    experiments::replay_accuracy(&w, EVENTS, &mut via_replay);
+    experiments::replay_accuracy(&w, EVENTS, &mut [&mut via_replay]);
     let decomposed = experiments::decomposed_for(&w, &mrc_geom, EVENTS);
     let mut via_events = AccuracyEvaluator::new(mrc_geom, TagBits::Low(8));
     for (set, tag) in decomposed.iter() {

@@ -1,6 +1,6 @@
 //! Smoke tests threading the kernel-taxonomy workloads (`uniform`,
 //! `working_set_{128,512}`) through the figure-driver machinery: the
-//! same `replay_accuracy` cell entry point fig1 runs for the
+//! same `replay_accuracy` pass entry point fig1 runs for the
 //! SPEC95 analogs, swept over the paper's four cache configurations
 //! at 1 and 4 worker threads. The reports must be sane (full
 //! coverage, non-degenerate miss behavior) and bit-identical across
@@ -13,7 +13,7 @@ const EVENTS: usize = 5_000;
 
 fn evaluate(workload: &workloads::Workload, geom: cache_model::CacheGeometry) -> AccuracyReport {
     let mut eval = AccuracyEvaluator::new(geom, TagBits::Full);
-    experiments::replay_accuracy(workload, EVENTS, &mut eval);
+    experiments::replay_accuracy(workload, EVENTS, &mut [&mut eval]);
     eval.finish()
 }
 

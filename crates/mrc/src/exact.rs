@@ -87,6 +87,18 @@ impl StackDistanceEngine {
     /// `None` for a first touch (infinite distance). The access is
     /// recorded in the histogram exactly as by [`Self::record_line`].
     pub fn record_line_distance(&mut self, line: u64) -> Option<u64> {
+        let distance = self.touch(line);
+        match distance {
+            Some(d) => self.hist.record(d),
+            None => self.hist.record_cold(),
+        }
+        distance
+    }
+
+    /// Moves `line` to the top of the LRU stack and returns its stack
+    /// distance (`None` for a first touch), leaving the histogram
+    /// alone.
+    fn touch(&mut self, line: u64) -> Option<u64> {
         if self.next_slot == self.slots {
             self.compact();
         }
@@ -99,13 +111,11 @@ impl StackDistanceEngine {
                 let distance = u64::from(self.live - self.tree.prefix_through(prev));
                 self.tree.add(prev, u32::MAX); // -1
                 self.tree.add(slot, 1);
-                self.hist.record(distance);
                 Some(distance)
             }
             None => {
                 self.live += 1;
                 self.tree.add(slot, 1);
-                self.hist.record_cold();
                 None
             }
         }
@@ -138,17 +148,36 @@ impl StackDistanceEngine {
     /// Panics if the slices differ in length.
     #[must_use]
     pub fn distances_of_parts(sets: &[u32], tags: &[u64], set_bits: u32) -> Vec<u32> {
+        let mut distances = Vec::with_capacity(sets.len());
+        StackDistanceEngine::new().record_parts_distances(sets, tags, set_bits, &mut distances);
+        distances
+    }
+
+    /// Pushes a chunk of decomposed references through the LRU stack
+    /// and appends each one's stack distance to `out` in the memo
+    /// encoding of [`Self::distances_of_parts`], so a trace fed chunk
+    /// by chunk yields exactly the whole-trace memo. `out` is the
+    /// record: the engine's own histogram is not updated (build one
+    /// from the distances with
+    /// [`DistanceHistogram::record_distances`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn record_parts_distances(
+        &mut self,
+        sets: &[u32],
+        tags: &[u64],
+        set_bits: u32,
+        out: &mut Vec<u32>,
+    ) {
         assert_eq!(sets.len(), tags.len(), "sets/tags length mismatch");
-        let mut engine = StackDistanceEngine::new();
-        sets.iter()
-            .zip(tags)
-            .map(|(&set, &tag)| {
-                match engine.record_line_distance(crate::line_from_parts(set, tag, set_bits)) {
-                    Some(d) => d.min(u64::from(COLD_DISTANCE - 1)) as u32,
-                    None => COLD_DISTANCE,
-                }
-            })
-            .collect()
+        out.extend(sets.iter().zip(tags).map(|(&set, &tag)| {
+            match self.touch(crate::line_from_parts(set, tag, set_bits)) {
+                Some(d) => d.min(u64::from(COLD_DISTANCE - 1)) as u32,
+                None => COLD_DISTANCE,
+            }
+        }));
     }
 
     /// Renumbers live markers densely into slot order, growing the
@@ -218,6 +247,25 @@ mod tests {
         }
         assert_eq!(fast.histogram(), slow.histogram());
         assert_eq!(fast.distinct_lines(), slow.distinct_lines());
+    }
+
+    #[test]
+    fn chunked_distances_equal_the_whole_trace_memo() {
+        // 40 lines over 4 sets, revisited with growing strides so the
+        // trace mixes cold touches, short and long distances.
+        let lines: Vec<u64> = (0..3_000u64).map(|i| (i * i + i / 7) % 40).collect();
+        let sets: Vec<u32> = lines.iter().map(|&l| (l & 3) as u32).collect();
+        let tags: Vec<u64> = lines.iter().map(|&l| l >> 2).collect();
+        let whole = StackDistanceEngine::distances_of_parts(&sets, &tags, 2);
+        for chunk in [1, 7, 1024] {
+            let mut engine = StackDistanceEngine::new();
+            let mut chunked = Vec::new();
+            for (s, t) in sets.chunks(chunk).zip(tags.chunks(chunk)) {
+                engine.record_parts_distances(s, t, 2, &mut chunked);
+            }
+            assert_eq!(chunked, whole, "chunk {chunk}");
+            assert_eq!(engine.histogram().total(), 0, "the histogram is left alone");
+        }
     }
 
     #[test]

@@ -45,14 +45,20 @@ impl DistanceHistogram {
     #[must_use]
     pub fn from_distances(distances: &[u32]) -> Self {
         let mut hist = DistanceHistogram::new();
+        hist.record_distances(distances);
+        hist
+    }
+
+    /// Records a chunk of a per-event distance memo, as
+    /// [`Self::from_distances`] does for a whole one.
+    pub fn record_distances(&mut self, distances: &[u32]) {
         for &d in distances {
             if d == crate::COLD_DISTANCE {
-                hist.record_cold();
+                self.record_cold();
             } else {
-                hist.record(u64::from(d));
+                self.record(u64::from(d));
             }
         }
-        hist
     }
 
     /// Records one cold (first-touch) access.

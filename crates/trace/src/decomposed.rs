@@ -10,11 +10,10 @@
 //! access per cell. A [`DecomposedTrace`] hoists that work out of the
 //! cell loop: the split into parallel `sets` / `tags` arrays happens
 //! once per `(trace, line size, set bits)` key in the
-//! [`DecomposedArena`], and cells stream the precomputed pairs, a
-//! block at a time ([`DecomposedTrace::for_each_block`]), straight
-//! into the cache kernel's block entry points. A streamed generator
-//! is split by the same code, one chunk at a time
-//! ([`DecomposedTrace::split_into`]).
+//! [`DecomposedArena`], and an accuracy pass slices the precomputed
+//! pairs block by block straight into the cache kernel's block entry
+//! points. A streamed generator is split by the same code, one block
+//! at a time ([`DecomposedTrace::split_into`]).
 //!
 //! Decomposition is lossless for everything the consumers need: the
 //! line address is recoverable as `(tag << set_bits) | set` (the cache
@@ -47,6 +46,7 @@ use std::sync::{Arc, OnceLock};
 use crate::arena::ArenaKey;
 use crate::memo::Memo;
 use crate::TraceEvent;
+use sim_core::Addr;
 
 /// One trace split against one indexing scheme: event `i` touches set
 /// `sets[i]` with tag `tags[i]`.
@@ -69,7 +69,7 @@ impl DecomposedTrace {
         let mut sets = vec![0; events.len()].into_boxed_slice();
         let mut tags = vec![0; events.len()].into_boxed_slice();
         Self::split_into(
-            events.iter().copied(),
+            events.iter().map(|e| e.access.addr),
             line_size,
             set_bits,
             &mut sets,
@@ -82,15 +82,15 @@ impl DecomposedTrace {
         }
     }
 
-    /// Splits events from `events` into `(set, tag)` pairs for a cache
-    /// with `line_size`-byte lines and `set_bits` index bits, writing
-    /// them in order to the front of `sets` and `tags`. Stops when
-    /// `events` runs out or the shorter buffer is full, without taking
-    /// an event it cannot store, and returns the number of pairs
-    /// written — so a generator is split chunk by chunk by calling
+    /// Splits the byte addresses `addrs` into `(set, tag)` pairs for a
+    /// cache with `line_size`-byte lines and `set_bits` index bits,
+    /// writing them in order to the front of `sets` and `tags`. Stops
+    /// when `addrs` runs out or the shorter buffer is full, without
+    /// taking an address it cannot store, and returns the number of
+    /// pairs written — so a stream is split block by block by calling
     /// this again with the same iterator.
     pub fn split_into(
-        events: impl Iterator<Item = TraceEvent>,
+        addrs: impl Iterator<Item = Addr>,
         line_size: u64,
         set_bits: u32,
         sets: &mut [u32],
@@ -100,8 +100,8 @@ impl DecomposedTrace {
         let mut written = 0;
         // The buffers lead the zip, so a full buffer ends the loop
         // before another event is pulled.
-        for ((set, tag), event) in sets.iter_mut().zip(tags.iter_mut()).zip(events) {
-            let line = event.access.addr.line(line_size).raw();
+        for ((set, tag), addr) in sets.iter_mut().zip(tags.iter_mut()).zip(addrs) {
+            let line = addr.line(line_size).raw();
             *set = (line & mask) as u32;
             *tag = line >> set_bits;
             written += 1;
@@ -166,21 +166,6 @@ impl DecomposedTrace {
     #[must_use]
     pub fn line(&self, i: usize) -> sim_core::LineAddr {
         sim_core::LineAddr::new((self.tags[i] << self.set_bits) | u64::from(self.sets[i]))
-    }
-
-    /// Streams the parallel `sets`/`tags` arrays through `f` in
-    /// fixed-size blocks of `block` pairs (the final block may be
-    /// shorter). This is the batched counterpart of [`Self::iter`],
-    /// feeding the kernel's `access_block` entry points; a `block` of
-    /// zero is treated as one whole-trace block.
-    pub fn for_each_block(&self, block: usize, mut f: impl FnMut(&[u32], &[u64])) {
-        if self.sets.is_empty() {
-            return;
-        }
-        let block = if block == 0 { self.sets.len() } else { block };
-        for (sets, tags) in self.sets.chunks(block).zip(self.tags.chunks(block)) {
-            f(sets, tags);
-        }
     }
 
     /// Iterates `(set, tag)` pairs in trace order.
@@ -363,23 +348,6 @@ mod tests {
             let line = events[i].access.addr.line(64).raw();
             assert_eq!(u64::from(set), line & ((1 << set_bits) - 1));
             assert_eq!(tag, line >> set_bits);
-        }
-    }
-
-    #[test]
-    fn for_each_block_matches_iter_including_torn_tail() {
-        let events = sweep_events(4096 + 37);
-        let d = DecomposedTrace::decompose(&events, 64, 4);
-        let whole: Vec<(u32, u64)> = d.iter().collect();
-        assert_eq!(whole.len(), d.len());
-        for block in [1usize, 7, 64, 1000, d.len(), d.len() + 5, 0] {
-            let mut seen = Vec::new();
-            d.for_each_block(block, |sets, tags| {
-                assert_eq!(sets.len(), tags.len());
-                assert!(!sets.is_empty());
-                seen.extend(sets.iter().copied().zip(tags.iter().copied()));
-            });
-            assert_eq!(seen, whole, "block size {block}");
         }
     }
 
