@@ -334,8 +334,9 @@ fn bench_mrc(c: &mut Criterion) {
     let raw: Vec<u64> = refs.iter().map(|l| l.raw()).collect();
     let mut g = c.benchmark_group("substrate/mrc");
     g.throughput(Throughput::Elements(N as u64));
-    // The exact engine pays O(log distinct-lines) per event on the
-    // order-statistic tree; this is the single-pass cost of a second
+    // The exact engine pays one line-index lookup per event plus a
+    // popcount, and a word-tree query and update when the reuse
+    // crosses a 64-slot word; this is the single-pass cost of a second
     // ground truth next to the 3C oracle above.
     g.bench_function("mrc_exact", |b| {
         b.iter(|| {

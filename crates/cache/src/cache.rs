@@ -22,6 +22,22 @@ pub enum Replacement {
     Random,
 }
 
+impl Replacement {
+    /// Whether the policy's victim choice can depend on line metadata.
+    /// None does: LRU and FIFO evict the way with the oldest stamp and
+    /// Random draws from the set's eviction count, and the block
+    /// engine's victim hook is not even handed the metadata. Caches
+    /// that differ only in the metadata they store therefore hit, miss
+    /// and evict alike, which is what lets many miss classifiers share
+    /// one kernel.
+    #[must_use]
+    pub const fn victim_reads_metadata(self) -> bool {
+        match self {
+            Replacement::Lru | Replacement::Fifo | Replacement::Random => false,
+        }
+    }
+}
+
 /// A line displaced by a [`SetAssocCache::fill`].
 ///
 /// Carries the evicted line's address (reconstructed from its tag and
@@ -718,6 +734,33 @@ mod tests {
     fn dm() -> SetAssocCache<()> {
         // 4 sets, direct-mapped.
         SetAssocCache::new(CacheGeometry::new(256, 1, 64).unwrap())
+    }
+
+    #[test]
+    fn metadata_never_steers_the_victim() {
+        // The same trace through two caches that store different
+        // metadata (the event index vs a constant) evicts the same
+        // lines under every policy.
+        let geom = CacheGeometry::new(1024, 4, 64).unwrap();
+        let mut rng = sim_core::rng::SplitMix64::new(3);
+        let lines: Vec<LineAddr> = (0..4_000)
+            .map(|_| LineAddr::new(rng.next_below(96)))
+            .collect();
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            assert!(!policy.victim_reads_metadata());
+            let mut indexed: SetAssocCache<usize> = SetAssocCache::with_replacement(geom, policy);
+            let mut constant: SetAssocCache<usize> = SetAssocCache::with_replacement(geom, policy);
+            for (i, &line) in lines.iter().enumerate() {
+                let a = indexed.probe(line).is_some();
+                let b = constant.probe(line).is_some();
+                assert_eq!(a, b, "{policy:?} event {i}");
+                if !a {
+                    let ev_a = indexed.fill(line, i).map(|e| e.line);
+                    let ev_b = constant.fill(line, 0).map(|e| e.line);
+                    assert_eq!(ev_a, ev_b, "{policy:?} event {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,14 +33,12 @@
 //! ```
 
 use cache_model::oracle::ThreeCClassifier;
-use cache_model::CacheGeometry;
+use cache_model::{BlockSink, CacheGeometry, SetAssocCache};
 use sim_core::probe;
 use sim_core::stats::Ratio;
 use sim_core::LineAddr;
 
-use crate::{
-    BlockClass, ClassifyingCache, EvictionClassifier, MissClass, MissClassificationTable, TagBits,
-};
+use crate::{EvictionClassifier, MissClassificationTable, TagBits};
 
 /// Accuracy of the MCT over one reference stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,136 +75,174 @@ impl AccuracyReport {
         self.accesses += other.accesses;
         self.misses += other.misses;
     }
-}
 
-/// Runs a [`ClassifyingCache`] and a [`ThreeCClassifier`] side by side
-/// over one reference stream.
-///
-/// The `*_with_truth` entry points take the three-C verdicts from the
-/// caller instead — typically read off a memoized LRU stack-distance
-/// pass, which yields the same verdict for every capacity at once —
-/// and leave the owned oracle idle.
-#[derive(Debug, Clone)]
-pub struct AccuracyEvaluator<T = MissClassificationTable> {
-    cache: ClassifyingCache<T>,
-    /// The owned oracle, fed only by the entry points that do not
-    /// take caller-supplied verdicts.
-    oracle: ThreeCClassifier,
-    report: AccuracyReport,
-    /// Scratch for [`Self::observe_block`]: per-event oracle conflict
-    /// flags, reused across blocks.
-    oracle_conflict: Vec<bool>,
-    /// Scratch for [`Self::observe_block`]: per-event MCT
-    /// classifications, reused across blocks.
-    classes: Vec<BlockClass>,
-}
-
-impl AccuracyEvaluator {
-    /// Creates an evaluator for the given cache shape and MCT tag
-    /// width. The oracle's shadow cache gets the same line capacity.
-    #[must_use]
-    pub fn new(geom: CacheGeometry, tag_bits: TagBits) -> Self {
-        Self::with_classifier(
-            geom,
-            MissClassificationTable::new(geom.num_sets(), tag_bits),
-        )
-    }
-}
-
-impl<T: EvictionClassifier> AccuracyEvaluator<T> {
-    /// Creates an evaluator around any eviction classifier (the
-    /// shadow-directory depth ablation uses this).
-    #[must_use]
-    pub fn with_classifier(geom: CacheGeometry, table: T) -> Self {
-        AccuracyEvaluator {
-            cache: ClassifyingCache::with_classifier(geom, table),
-            oracle: ThreeCClassifier::new(geom.num_lines()),
-            report: AccuracyReport::default(),
-            oracle_conflict: Vec::new(),
-            classes: Vec::new(),
-        }
-    }
-
-    /// Observes one reference (the oracle must see hits too).
-    pub fn observe(&mut self, line: LineAddr) {
-        let geom = *self.cache.geometry();
-        self.observe_parts(geom.set_index(line), geom.tag(line));
-    }
-
-    /// [`Self::observe`] with the line already split into set index
-    /// and tag (decomposed replay). The oracle still sees the whole
-    /// line, reconstructed with `line_from_parts` — identical to the
-    /// address the parts came from.
-    pub fn observe_parts(&mut self, set: usize, tag: u64) {
-        let line = self.cache.geometry().line_from_parts(tag, set);
-        let oracle_conflict = self.oracle.observe(line).is_conflict();
-        self.observe_parts_with_truth(set, tag, oracle_conflict);
-    }
-
-    /// [`Self::observe_parts`] with the three-C verdict supplied by
-    /// the caller: `oracle_conflict` is whether a fully-associative
-    /// LRU cache of the geometry's line capacity would hit this
-    /// reference (and it is not a first touch). The report, and the
-    /// probe events an armed sink records, are those of
-    /// [`Self::observe_parts`] whenever the verdict is the oracle's.
-    pub fn observe_parts_with_truth(&mut self, set: usize, tag: u64, oracle_conflict: bool) {
-        self.report.accesses += 1;
-        let outcome = self.cache.access_parts(set, tag);
-        let Some(miss) = outcome.miss() else { return };
-        self.report.misses += 1;
-        let agree = if oracle_conflict {
-            miss.class == MissClass::Conflict
-        } else {
-            miss.class == MissClass::Capacity
-        };
-        probe::emit(probe::ProbeEvent::Oracle {
-            oracle_conflict,
-            agree,
-        });
+    /// Scores one miss: the MCT's label against the three-C verdict.
+    /// Returns whether they agree.
+    fn score(&mut self, oracle_conflict: bool, mct_conflict: bool) -> bool {
+        self.misses += 1;
+        let agree = oracle_conflict == mct_conflict;
         if oracle_conflict {
-            self.report.conflict.record(agree);
+            self.conflict.record(agree);
         } else {
-            self.report.capacity.record(agree);
+            self.capacity.record(agree);
         }
+        agree
     }
+}
 
-    /// Observes a block of decomposed references
-    /// ([`Self::observe_parts`] in bulk — the block replay path).
-    ///
-    /// The three-C oracle is *globally* order-sensitive (its shadow
-    /// fully-associative cache sees every reference), so it runs
-    /// first, sequentially in trace order, into a scratch flag array.
-    /// The MCT cache then replays the same block
-    /// ([`ClassifyingCache::access_parts_block`]) — its state is
-    /// disjoint from the oracle's — and the two outcome arrays are
-    /// merged index by index, which reproduces the per-event report
-    /// exactly.
-    ///
-    /// The oracle emits no probe events, so with a probe sink armed
-    /// the emitted stream (`Access`, `Classify`, `ConflictBit`,
-    /// `Oracle` interleaved per event) is that of
-    /// [`Self::observe_block_with_truth`]'s per-event fallback:
-    /// byte-identical to unbatched replay.
+/// One classifier of an [`AccuracyGroup`] and its report.
+#[derive(Debug, Clone)]
+struct Member<T> {
+    table: T,
+    report: AccuracyReport,
+}
+
+/// Several eviction classifiers scored over one reference stream on
+/// one cache kernel.
+///
+/// Every member sees the same cache: one [`SetAssocCache`] of the
+/// group's geometry replays the stream, and each miss is classified by
+/// every member against its own pre-fill state, each eviction recorded
+/// in every member. A line's metadata holds the members' conflict
+/// bits, bit `j` for member `j`. Sharing the kernel is exact because
+/// no replacement policy reads line metadata
+/// ([`cache_model::Replacement::victim_reads_metadata`], asserted at
+/// construction): the members' differing conflict bits never change
+/// which line a fill evicts, so each member's report equals that of
+/// an [`AccuracyEvaluator`] of its own.
+///
+/// The three-C verdicts come from the caller (see
+/// [`Self::observe_parts_with_truth`]); [`AccuracyEvaluator`] is the
+/// one-member group with an oracle of its own.
+#[derive(Debug, Clone)]
+pub struct AccuracyGroup<T = MissClassificationTable> {
+    cache: SetAssocCache<u32>,
+    members: Vec<Member<T>>,
+}
+
+impl<T: EvictionClassifier> AccuracyGroup<T> {
+    /// The most members a group holds: one conflict bit each in a
+    /// line's `u32` metadata.
+    pub const MAX_MEMBERS: usize = u32::BITS as usize;
+
+    /// Creates a group whose members are `tables`, in order, all on a
+    /// cache of shape `geom`.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or a set index is out of
-    /// range for the geometry.
-    pub fn observe_block(&mut self, sets: &[u32], tags: &[u64]) {
-        self.run_owned_oracle(sets, tags);
-        // Move the flags out so the shared block path can borrow
-        // `self` mutably while reading them.
-        let flags = std::mem::take(&mut self.oracle_conflict);
-        self.observe_block_with_truth(sets, tags, flags.iter().copied());
-        self.oracle_conflict = flags;
+    /// Panics if `tables` is empty or holds more than
+    /// [`Self::MAX_MEMBERS`] classifiers.
+    #[must_use]
+    pub fn new(geom: CacheGeometry, tables: impl IntoIterator<Item = T>) -> Self {
+        let mut cache = SetAssocCache::new(geom);
+        assert!(
+            !cache.replacement().victim_reads_metadata(),
+            "members share one kernel only if conflict bits never steer the victim"
+        );
+        // The classifying cache is always the unit an experiment
+        // measures, so it reports per-set fill/evict probe events.
+        cache.enable_set_probes();
+        let members: Vec<Member<T>> = tables
+            .into_iter()
+            .map(|table| Member {
+                table,
+                report: AccuracyReport::default(),
+            })
+            .collect();
+        assert!(
+            (1..=Self::MAX_MEMBERS).contains(&members.len()),
+            "a group holds 1 to {} classifiers, not {}",
+            Self::MAX_MEMBERS,
+            members.len()
+        );
+        AccuracyGroup { cache, members }
     }
 
-    /// [`Self::observe_block`] with the three-C verdicts supplied by
-    /// the caller, one per reference in trace order (see
-    /// [`Self::observe_parts_with_truth`]). The MCT cache replays the
-    /// block exactly as in [`Self::observe_block`] and
-    /// the verdicts are merged index by index; an armed probe sink
-    /// gets the per-event fallback with the same verdicts.
+    /// The cache geometry all members share.
+    #[must_use]
+    pub fn geometry(&self) -> &CacheGeometry {
+        self.cache.geometry()
+    }
+
+    /// The number of member classifiers.
+    #[must_use]
+    pub fn member_count(&self) -> usize {
+        self.members.len()
+    }
+
+    /// The members' final reports, in member order.
+    #[must_use]
+    pub fn finish(self) -> Vec<AccuracyReport> {
+        self.members.into_iter().map(|m| m.report).collect()
+    }
+
+    /// Observes one decomposed reference with its three-C verdict:
+    /// `oracle_conflict` is whether a fully-associative LRU cache of
+    /// the geometry's line capacity would hit it (and it is not a
+    /// first touch).
+    ///
+    /// The MCT protocol per member: classify **before** the fill,
+    /// carry the conflict bit as line metadata, record the eviction.
+    /// For a one-member group an armed probe sink gets exactly the
+    /// events of a [`ClassifyingCache`](crate::ClassifyingCache)
+    /// access (`Access`, `Classify`, `ConflictBit`, the set's
+    /// fill/evict) followed by the `Oracle` verdict. A larger group
+    /// emits one `Classify` and one `Oracle` per member, and a
+    /// `ConflictBit` event when a line with any member's bit set is
+    /// filled or evicted, so per-cell probe streams come from
+    /// one-member groups.
+    pub fn observe_parts_with_truth(&mut self, set: usize, tag: u64, oracle_conflict: bool) {
+        for member in &mut self.members {
+            member.report.accesses += 1;
+        }
+        if self.cache.probe_at(set, tag).is_some() {
+            probe::emit(probe::ProbeEvent::Access { hit: true });
+            return;
+        }
+        probe::emit(probe::ProbeEvent::Access { hit: false });
+        let mut bits = 0u32;
+        for (j, member) in self.members.iter().enumerate() {
+            bits |= u32::from(member.table.classify(set, tag).is_conflict()) << j;
+        }
+        if bits != 0 && probe::active() {
+            probe::emit(probe::ProbeEvent::ConflictBit {
+                set: set as u32,
+                set_bit: true,
+            });
+        }
+        if let Some(ev) = self.cache.fill_at(set, tag, bits) {
+            if ev.meta != 0 && probe::active() {
+                probe::emit(probe::ProbeEvent::ConflictBit {
+                    set: set as u32,
+                    set_bit: false,
+                });
+            }
+            let evicted_tag = self.cache.geometry().tag(ev.line);
+            for member in &mut self.members {
+                member.table.record_eviction(set, evicted_tag);
+            }
+        }
+        for (j, member) in self.members.iter_mut().enumerate() {
+            let agree = member.report.score(oracle_conflict, bits >> j & 1 != 0);
+            probe::emit(probe::ProbeEvent::Oracle {
+                oracle_conflict,
+                agree,
+            });
+        }
+    }
+
+    /// [`Self::observe_parts_with_truth`] over a block of decomposed
+    /// references, with one three-C verdict per reference in trace
+    /// order.
+    ///
+    /// One block pass of the kernel
+    /// ([`SetAssocCache::access_block_with`]) drives every member:
+    /// each miss is classified by each member against pre-fill state
+    /// and scored against its verdict on the spot, and each eviction
+    /// is recorded in each member, in trace order — the per-event
+    /// reports exactly. With a probe sink armed the block falls back
+    /// to per-event replay, keeping the emitted stream byte-identical
+    /// to unbatched replay.
     ///
     /// # Panics
     ///
@@ -230,22 +266,179 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
             }
             return;
         }
-        self.report.accesses += sets.len() as u64;
-        self.classes.clear();
-        self.classes.resize(sets.len(), BlockClass::Hit);
-        // The scratch vector is a disjoint field, but the borrow
-        // checker cannot split it through `self`; move `classes` out
-        // for the duration of the cache pass.
-        let mut classes = std::mem::take(&mut self.classes);
-        self.cache.access_parts_block(sets, tags, &mut classes);
-        merge_verdicts(&mut self.report, &classes, oracle_conflict);
-        self.classes = classes;
+        for member in &mut self.members {
+            member.report.accesses += sets.len() as u64;
+        }
+        let mut sink = GroupSink {
+            members: &mut self.members,
+            verdicts: oracle_conflict,
+            next: 0,
+        };
+        self.cache.access_block_with(sets, tags, &mut sink);
+    }
+}
+
+/// The block sink behind [`AccuracyGroup::observe_block_with_truth`]:
+/// the MCT protocol for every member, scored as it goes.
+struct GroupSink<'a, T, V> {
+    members: &'a mut [Member<T>],
+    /// The block's verdicts, consumed in trace order.
+    verdicts: V,
+    /// Block index of the next verdict in `verdicts`.
+    next: usize,
+}
+
+impl<T: EvictionClassifier, V: Iterator<Item = bool>> BlockSink<u32> for GroupSink<'_, T, V> {
+    #[inline]
+    fn hit(&mut self, _index: usize, _conflict_bits: &mut u32) {}
+
+    #[inline]
+    fn miss(&mut self, index: usize, set: usize, tag: u64) -> u32 {
+        // Events arrive in block order, so the hits since the last
+        // miss are skipped. The length was checked up front.
+        let oracle_conflict = self.verdicts.nth(index - self.next).unwrap_or(false);
+        self.next = index + 1;
+        let mut bits = 0u32;
+        for (j, member) in self.members.iter_mut().enumerate() {
+            let conflict = member.table.classify(set, tag).is_conflict();
+            member.report.score(oracle_conflict, conflict);
+            bits |= u32::from(conflict) << j;
+        }
+        bits
+    }
+
+    #[inline]
+    fn evicted(&mut self, _index: usize, set: usize, evicted_tag: u64, _conflict_bits: u32) {
+        for member in self.members.iter_mut() {
+            member.table.record_eviction(set, evicted_tag);
+        }
+    }
+}
+
+/// Runs the MCT and a [`ThreeCClassifier`] side by side over one
+/// reference stream: a one-member [`AccuracyGroup`] with an oracle of
+/// its own.
+///
+/// The `*_with_truth` entry points take the three-C verdicts from the
+/// caller instead — typically read off a memoized LRU stack-distance
+/// pass, which yields the same verdict for every capacity at once —
+/// and leave the owned oracle idle.
+#[derive(Debug, Clone)]
+pub struct AccuracyEvaluator<T = MissClassificationTable> {
+    group: AccuracyGroup<T>,
+    /// The owned oracle, fed only by the entry points that do not
+    /// take caller-supplied verdicts.
+    oracle: ThreeCClassifier,
+    /// Scratch for [`Self::observe_block`]: per-event oracle conflict
+    /// flags, reused across blocks.
+    oracle_conflict: Vec<bool>,
+}
+
+impl AccuracyEvaluator {
+    /// Creates an evaluator for the given cache shape and MCT tag
+    /// width. The oracle's shadow cache gets the same line capacity.
+    #[must_use]
+    pub fn new(geom: CacheGeometry, tag_bits: TagBits) -> Self {
+        Self::with_classifier(
+            geom,
+            MissClassificationTable::new(geom.num_sets(), tag_bits),
+        )
+    }
+}
+
+impl<T: EvictionClassifier> AccuracyEvaluator<T> {
+    /// Creates an evaluator around any eviction classifier (the
+    /// shadow-directory depth ablation uses this).
+    #[must_use]
+    pub fn with_classifier(geom: CacheGeometry, table: T) -> Self {
+        AccuracyEvaluator {
+            group: AccuracyGroup::new(geom, [table]),
+            oracle: ThreeCClassifier::new(geom.num_lines()),
+            oracle_conflict: Vec::new(),
+        }
+    }
+
+    /// The cache geometry.
+    #[must_use]
+    pub fn geometry(&self) -> &CacheGeometry {
+        self.group.geometry()
+    }
+
+    /// Observes one reference (the oracle must see hits too).
+    pub fn observe(&mut self, line: LineAddr) {
+        let geom = *self.geometry();
+        self.observe_parts(geom.set_index(line), geom.tag(line));
+    }
+
+    /// [`Self::observe`] with the line already split into set index
+    /// and tag (decomposed replay). The oracle still sees the whole
+    /// line, reconstructed with `line_from_parts` — identical to the
+    /// address the parts came from.
+    pub fn observe_parts(&mut self, set: usize, tag: u64) {
+        let line = self.geometry().line_from_parts(tag, set);
+        let oracle_conflict = self.oracle.observe(line).is_conflict();
+        self.observe_parts_with_truth(set, tag, oracle_conflict);
+    }
+
+    /// [`Self::observe_parts`] with the three-C verdict supplied by
+    /// the caller ([`AccuracyGroup::observe_parts_with_truth`]). The
+    /// report, and the probe events an armed sink records, are those
+    /// of [`Self::observe_parts`] whenever the verdict is the
+    /// oracle's.
+    pub fn observe_parts_with_truth(&mut self, set: usize, tag: u64, oracle_conflict: bool) {
+        self.group
+            .observe_parts_with_truth(set, tag, oracle_conflict);
+    }
+
+    /// Observes a block of decomposed references
+    /// ([`Self::observe_parts`] in bulk — the block replay path).
+    ///
+    /// The three-C oracle is *globally* order-sensitive (its shadow
+    /// fully-associative cache sees every reference), so it runs
+    /// first, sequentially in trace order, into a scratch flag array.
+    /// The MCT cache then replays the same block
+    /// ([`Self::observe_block_with_truth`]) — its state is disjoint
+    /// from the oracle's — which reproduces the per-event report
+    /// exactly.
+    ///
+    /// The oracle emits no probe events, so with a probe sink armed
+    /// the emitted stream (`Access`, `Classify`, `ConflictBit`,
+    /// `Oracle` interleaved per event) is that of
+    /// [`Self::observe_block_with_truth`]'s per-event fallback:
+    /// byte-identical to unbatched replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or a set index is out of
+    /// range for the geometry.
+    pub fn observe_block(&mut self, sets: &[u32], tags: &[u64]) {
+        self.run_owned_oracle(sets, tags);
+        self.group
+            .observe_block_with_truth(sets, tags, self.oracle_conflict.iter().copied());
+    }
+
+    /// [`Self::observe_block`] with the three-C verdicts supplied by
+    /// the caller, one per reference in trace order
+    /// ([`AccuracyGroup::observe_block_with_truth`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices and the verdicts differ in length, or a
+    /// set index is out of range for the geometry.
+    pub fn observe_block_with_truth(
+        &mut self,
+        sets: &[u32],
+        tags: &[u64],
+        oracle_conflict: impl ExactSizeIterator<Item = bool>,
+    ) {
+        self.group
+            .observe_block_with_truth(sets, tags, oracle_conflict);
     }
 
     /// Runs the owned oracle over `sets`/`tags` in trace order into
     /// the scratch flag array.
     fn run_owned_oracle(&mut self, sets: &[u32], tags: &[u64]) {
-        let geom = *self.cache.geometry();
+        let geom = *self.geometry();
         self.oracle_conflict.clear();
         for (&set, &tag) in sets.iter().zip(tags) {
             let line = geom.line_from_parts(tag, set as usize);
@@ -267,47 +460,13 @@ impl<T: EvictionClassifier> AccuracyEvaluator<T> {
     /// Returns the accumulated report.
     #[must_use]
     pub fn finish(self) -> AccuracyReport {
-        self.report
+        *self.report()
     }
 
     /// The report so far, without consuming the evaluator.
     #[must_use]
     pub fn report(&self) -> &AccuracyReport {
-        &self.report
-    }
-
-    /// The underlying classifying cache (for hit-rate inspection).
-    #[must_use]
-    pub fn cache(&self) -> &ClassifyingCache<T> {
-        &self.cache
-    }
-}
-
-/// Merges three-C verdicts and MCT classifications — parallel, in
-/// trace order — into `report`.
-fn merge_verdicts(
-    report: &mut AccuracyReport,
-    classes: &[BlockClass],
-    oracle_conflict: impl Iterator<Item = bool>,
-) {
-    for (oracle_conflict, &class) in oracle_conflict.zip(classes) {
-        if class == BlockClass::Hit {
-            continue;
-        }
-        report.misses += 1;
-        let agree = if oracle_conflict {
-            class == BlockClass::Conflict
-        } else {
-            class == BlockClass::Capacity
-        };
-        // No Oracle probe events here: block paths merge only with
-        // probes disarmed (armed replay takes the per-event branch),
-        // where emit would be a no-op anyway.
-        if oracle_conflict {
-            report.conflict.record(agree);
-        } else {
-            report.capacity.record(agree);
-        }
+        &self.group.members[0].report
     }
 }
 
@@ -428,6 +587,55 @@ mod tests {
             per_event.observe_parts_with_truth(s as usize, t, v);
         }
         assert_eq!(per_event.finish(), owned);
+    }
+
+    #[test]
+    fn a_group_reports_what_each_member_would_alone() {
+        // 8 sets, 2-way LRU: members differ in tag width, so their
+        // conflict bits differ while they share one kernel.
+        let geom = CacheGeometry::new(1024, 2, 64).unwrap();
+        let lines = mixed_stream();
+        let verdicts = oracle_verdicts(&lines, geom.num_lines());
+        let sets: Vec<u32> = lines.iter().map(|&l| geom.set_index(l) as u32).collect();
+        let tags: Vec<u64> = lines.iter().map(|&l| geom.tag(l)).collect();
+        let widths = [TagBits::Low(1), TagBits::Low(2), TagBits::Full];
+        let tables = || {
+            widths
+                .iter()
+                .map(|&bits| MissClassificationTable::new(geom.num_sets(), bits))
+        };
+        let alone: Vec<AccuracyReport> = widths
+            .iter()
+            .map(|&bits| {
+                let mut eval = AccuracyEvaluator::new(geom, bits);
+                eval.observe_all(lines.iter().copied());
+                eval.finish()
+            })
+            .collect();
+        assert_ne!(alone[0], alone[2], "the widths must disagree somewhere");
+
+        for block in [1usize, 7, 256, lines.len()] {
+            let mut group = AccuracyGroup::new(geom, tables());
+            for ((s, t), v) in sets
+                .chunks(block)
+                .zip(tags.chunks(block))
+                .zip(verdicts.chunks(block))
+            {
+                group.observe_block_with_truth(s, t, v.iter().copied());
+            }
+            assert_eq!(group.finish(), alone, "block {block}");
+        }
+        let mut per_event = AccuracyGroup::new(geom, tables());
+        for ((&s, &t), &v) in sets.iter().zip(&tags).zip(&verdicts) {
+            per_event.observe_parts_with_truth(s as usize, t, v);
+        }
+        assert_eq!(per_event.finish(), alone);
+    }
+
+    #[test]
+    #[should_panic(expected = "a group holds 1 to 32 classifiers, not 0")]
+    fn an_empty_group_is_refused() {
+        let _ = AccuracyGroup::<MissClassificationTable>::new(dm(4), []);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use amb::{AmbConfig, AmbPolicy, AmbSystem};
 use cpu_model::{BaselineSystem, CpuConfig, OooModel};
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
+use mct::accuracy::AccuracyReport;
 use mct::{ShadowDirectory, TagBits};
 use sim_core::stats::GeoMean;
 use workloads::{full_suite, suite};
@@ -78,15 +78,9 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
             cells.push((name.clone(), geom, depth));
         }
     }
+    // The four depths of each geometry share one cache kernel.
     let passes: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
-        let mut evals: Vec<AccuracyEvaluator<ShadowDirectory>> = cells
-            .iter()
-            .map(|&(_, geom, depth)| {
-                let dir = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
-                AccuracyEvaluator::with_classifier(geom, dir)
-            })
-            .collect();
-        crate::accuracy_pass(
+        crate::accuracy_cells(
             "ablation",
             &w,
             events,
@@ -94,9 +88,14 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
                 let (config, _, depth) = &cells[i];
                 format!("depth/{config}-d{depth}/{}", w.name())
             },
-            evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer),
-        );
-        evals.into_iter().map(AccuracyEvaluator::finish).collect()
+            None,
+            cells.iter().map(|&(_, geom, depth)| {
+                (
+                    geom,
+                    ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth),
+                )
+            }),
+        )
     });
     cells
         .into_iter()

@@ -6,8 +6,8 @@
 //! cache.
 
 use cache_model::CacheGeometry;
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
+use mct::accuracy::AccuracyReport;
+use mct::{MissClassificationTable, TagBits};
 use workloads::full_suite;
 
 use crate::table::pct_ratio;
@@ -69,18 +69,19 @@ pub fn simulated_events(events: usize) -> u64 {
 pub fn run(events: usize) -> Fig1 {
     let configs = configurations();
     let passes: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
-        let mut evals: Vec<AccuracyEvaluator> = configs
-            .iter()
-            .map(|&(_, geom)| AccuracyEvaluator::new(geom, TagBits::Full))
-            .collect();
-        crate::accuracy_pass(
+        crate::accuracy_cells(
             "fig1",
             &w,
             events,
             |i| format!("{}/{}", configs[i].0, w.name()),
-            evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer),
-        );
-        evals.into_iter().map(AccuracyEvaluator::finish).collect()
+            None,
+            configs.iter().map(|&(_, geom)| {
+                (
+                    geom,
+                    MissClassificationTable::new(geom.num_sets(), TagBits::Full),
+                )
+            }),
+        )
     });
     let configs = configs
         .into_iter()

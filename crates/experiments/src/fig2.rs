@@ -7,8 +7,8 @@
 //! capacity misses).
 
 use cache_model::CacheGeometry;
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
+use mct::accuracy::AccuracyReport;
+use mct::{MissClassificationTable, TagBits};
 use workloads::full_suite;
 
 use crate::table::{pct, pct_ratio};
@@ -44,24 +44,23 @@ pub fn widths() -> Vec<TagBits> {
 }
 
 /// Runs the Figure 2 experiment with `events` references per
-/// workload: one accuracy pass per workload feeds every tag width.
+/// workload: one accuracy pass per workload feeds every tag width,
+/// all classifying one cache kernel's misses.
 #[must_use]
 pub fn run(events: usize) -> Fig2 {
     let geom = CacheGeometry::new(16 * 1024, 1, 64).expect("paper geometry is valid");
     let widths = widths();
     let passes: Vec<Vec<AccuracyReport>> = crate::par_map(full_suite(), |w| {
-        let mut evals: Vec<AccuracyEvaluator> = widths
-            .iter()
-            .map(|&bits| AccuracyEvaluator::new(geom, bits))
-            .collect();
-        crate::accuracy_pass(
+        crate::accuracy_cells(
             "fig2",
             &w,
             events,
             |i| format!("{}/{}", widths[i], w.name()),
-            evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer),
-        );
-        evals.into_iter().map(AccuracyEvaluator::finish).collect()
+            None,
+            widths
+                .iter()
+                .map(|&bits| (geom, MissClassificationTable::new(geom.num_sets(), bits))),
+        )
     });
     let points = widths
         .iter()

@@ -38,12 +38,15 @@
 //! the driver needs for it ([`PassConsumer`]s: fig1's four geometries,
 //! fig2's eleven tag widths, the MRC curve and its four cells, the
 //! ablation's sixteen shadow directories) block by block in
-//! lock-step. Each cell reads the trace's `(set, tag)` split at its
-//! geometry and reads its 3C ground truth off per-event LRU stack
-//! distances, which give the verdict for every capacity at once, so
-//! no cell runs an oracle of its own. From the arenas, the split is
-//! precomputed once per (workload, geometry) ([`decomposed_for`]) and
-//! the distances once per (workload, line size) ([`distances_for`]).
+//! lock-step. Cells that share a whole geometry — fig2's widths, the
+//! ablation's four depths per geometry — run one cache kernel between
+//! them ([`mct::accuracy::AccuracyGroup`]). Each cell reads the
+//! trace's `(set, tag)` split at its geometry and reads its 3C ground
+//! truth off per-event LRU stack distances, which give the verdict for
+//! every capacity at once, so no cell runs an oracle of its own. From
+//! the arenas, the split is precomputed once per (workload, geometry)
+//! ([`decomposed_for`]) and the distances once per (workload, line
+//! size) ([`distances_for`]).
 //! Under `repro --stream` ([`set_stream_mode`]) no arena is touched:
 //! each pass runs the generator once, splits each block once per
 //! distinct geometry and computes the distances with one stack-distance
@@ -95,6 +98,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cache_model::CacheGeometry;
+use mct::accuracy::{AccuracyGroup, AccuracyReport};
 use trace_gen::arena::{ArenaKey, TraceArena};
 use trace_gen::decomposed::{DecomposedArena, DecomposedTrace};
 use trace_gen::TraceEvent;
@@ -151,9 +155,10 @@ pub fn stream_mode() -> bool {
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
 /// One consumer of an accuracy pass ([`replay_accuracy`]): an
-/// [`AccuracyEvaluator`](mct::accuracy::AccuracyEvaluator) — one
-/// fig1, fig2, ablation or MRC cell — or a miss-ratio curve
-/// ([`mrc::CurveBuilder`]).
+/// [`AccuracyGroup`] — the fig1, fig2, ablation or MRC cells that
+/// share one cache geometry — a lone
+/// [`AccuracyEvaluator`](mct::accuracy::AccuracyEvaluator), or a
+/// miss-ratio curve ([`mrc::CurveBuilder`]).
 pub trait PassConsumer {
     /// The geometry the consumer's blocks are split against. Its line
     /// size also selects the stack distances it reads.
@@ -164,26 +169,85 @@ pub trait PassConsumer {
     /// distance at its line size, in the memo encoding of
     /// [`::mrc::StackDistanceEngine::distances_of_parts`].
     fn observe(&mut self, sets: &[u32], tags: &[u64], distances: &[u32]);
+
+    /// The figure cells the consumer scores: the telemetry counts the
+    /// pass's events once per cell.
+    fn cells(&self) -> usize {
+        1
+    }
 }
 
-/// An accuracy cell reads its three-C verdicts off the stack
-/// distances: a miss is a conflict miss iff its distance fits the
-/// geometry's line capacity ([`::mrc::fits`]), so no cell runs an
-/// oracle of its own.
-impl<T: mct::EvictionClassifier> PassConsumer for mct::accuracy::AccuracyEvaluator<T> {
+/// A group's members read their three-C verdicts off the stack
+/// distances ([`::mrc::fits`]), so no cell runs an oracle of its own.
+impl<T: mct::EvictionClassifier> PassConsumer for AccuracyGroup<T> {
     fn geometry(&self) -> CacheGeometry {
-        *self.cache().geometry()
+        *AccuracyGroup::geometry(self)
     }
 
     fn observe(&mut self, sets: &[u32], tags: &[u64], distances: &[u32]) {
-        let capacity = self.geometry().num_lines() as u64;
-        let verdicts = distances.iter().map(|&d| ::mrc::fits(d, capacity));
+        let verdicts = verdicts(AccuracyGroup::geometry(self), distances);
+        self.observe_block_with_truth(sets, tags, verdicts);
+    }
+
+    fn cells(&self) -> usize {
+        self.member_count()
+    }
+}
+
+/// A lone evaluator is its one-member group.
+impl<T: mct::EvictionClassifier> PassConsumer for mct::accuracy::AccuracyEvaluator<T> {
+    fn geometry(&self) -> CacheGeometry {
+        *mct::accuracy::AccuracyEvaluator::geometry(self)
+    }
+
+    fn observe(&mut self, sets: &[u32], tags: &[u64], distances: &[u32]) {
+        let verdicts = verdicts(mct::accuracy::AccuracyEvaluator::geometry(self), distances);
         self.observe_block_with_truth(sets, tags, verdicts);
     }
 }
 
+/// The three-C verdicts of a block at `geom`: a miss is a conflict
+/// miss iff its stack distance fits the line capacity.
+fn verdicts<'a>(
+    geom: &CacheGeometry,
+    distances: &'a [u32],
+) -> impl ExactSizeIterator<Item = bool> + 'a {
+    let capacity = geom.num_lines() as u64;
+    distances.iter().map(move |&d| ::mrc::fits(d, capacity))
+}
+
+/// One block of a pass, split at each of the pass's geometries.
+#[derive(Clone, Copy)]
+enum Block<'a> {
+    /// Events `start..end` of the arena-resident decomposed traces.
+    Arena {
+        traces: &'a [Arc<DecomposedTrace>],
+        start: usize,
+        end: usize,
+    },
+    /// The stream's per-split block buffers, filled to `len`.
+    Stream {
+        blocks: &'a [(Vec<u32>, Vec<u64>)],
+        len: usize,
+    },
+}
+
+impl<'a> Block<'a> {
+    /// The block's `(set, tag)` pairs at split `split`.
+    fn split(self, split: usize) -> (&'a [u32], &'a [u64]) {
+        match self {
+            Block::Arena { traces, start, end } => (
+                &traces[split].sets()[start..end],
+                &traces[split].tags()[start..end],
+            ),
+            Block::Stream { blocks, len } => (&blocks[split].0[..len], &blocks[split].1[..len]),
+        }
+    }
+}
+
 /// The input of one accuracy pass: arena-resident forms or one
-/// streamed generator. Only this type's own methods look at which.
+/// streamed generator. Only this type's own methods and the [`Block`]s
+/// they hand out look at which.
 #[derive(Debug)]
 enum ReplayTrace {
     /// Arena-memoized forms, shared across passes.
@@ -241,7 +305,7 @@ impl ReplayTrace {
         &self,
         splits: &[CacheGeometry],
         cell_events: u64,
-        mut f: impl FnMut(&[(&[u32], &[u64])], &[u32]),
+        mut f: impl FnMut(Block<'_>, &[u32]),
     ) {
         match self {
             ReplayTrace::Arena { traces, distances } => {
@@ -249,11 +313,7 @@ impl ReplayTrace {
                 sim_core::span::add_events(cell_events);
                 for start in (0..distances.len()).step_by(REPLAY_BLOCK) {
                     let end = (start + REPLAY_BLOCK).min(distances.len());
-                    let parts: Vec<(&[u32], &[u64])> = traces
-                        .iter()
-                        .map(|t| (&t.sets()[start..end], &t.tags()[start..end]))
-                        .collect();
-                    f(&parts, &distances[start..end]);
+                    f(Block::Arena { traces, start, end }, &distances[start..end]);
                 }
             }
             ReplayTrace::Stream { workload, events } => {
@@ -299,11 +359,13 @@ impl ReplayTrace {
                             splits[0].set_bits(),
                             &mut distances,
                         );
-                        let parts: Vec<(&[u32], &[u64])> = blocks
-                            .iter()
-                            .map(|(sets, tags)| (&sets[..n], &tags[..n]))
-                            .collect();
-                        f(&parts, &distances);
+                        f(
+                            Block::Stream {
+                                blocks: &blocks,
+                                len: n,
+                            },
+                            &distances,
+                        );
                     }
                 }
                 cache_model::pool::recycle_u64(addrs);
@@ -315,9 +377,11 @@ impl ReplayTrace {
 /// The one accuracy entry point (fig1, fig2, the MRC family, the
 /// shadow-depth ablation): one pass over `(workload, SEED, events)`
 /// that feeds every consumer each block in lock-step and counts
-/// `events` per consumer in the telemetry. Each consumer still
-/// classifies every event; only the input and the ground truth are
-/// shared.
+/// `events` per figure cell ([`PassConsumer::cells`]) in the
+/// telemetry. The input and the ground truth are shared by every
+/// consumer, and the cache kernel by every cell of an
+/// [`AccuracyGroup`]: one kernel pass per distinct geometry, whose
+/// misses and evictions each member classifies.
 ///
 /// Input is arena-resident unless [`stream_mode`] is set. An arena
 /// pass reads one decomposed trace per distinct geometry and the
@@ -327,7 +391,7 @@ impl ReplayTrace {
 /// [`::mrc::StackDistanceEngine`] — Mattson's one-pass identity: one
 /// distance gives the verdict for every capacity. Both replay in
 /// blocks of [`replay_block_size`] and give identical results. When a
-/// probe sink is armed, evaluators replay each block per event, so
+/// probe sink is armed, groups replay each block per event, so
 /// the emitted event stream is byte-identical to unbatched replay.
 ///
 /// # Panics
@@ -360,32 +424,68 @@ pub fn replay_accuracy(
         })
         .collect();
     let trace = ReplayTrace::new(workload, events, &splits);
-    let cell_events = (events * consumers.len()) as u64;
+    let cells: usize = consumers.iter().map(|consumer| consumer.cells()).sum();
+    let cell_events = (events * cells) as u64;
     telemetry::record_events(cell_events);
-    trace.for_each_block(&splits, cell_events, |parts, distances| {
+    trace.for_each_block(&splits, cell_events, |block, distances| {
         for (consumer, &split) in consumers.iter_mut().zip(&consumer_splits) {
-            let (sets, tags) = parts[split];
+            let (sets, tags) = block.split(split);
             consumer.observe(sets, tags, distances);
         }
     });
 }
 
-/// Runs a driver's accuracy pass over `workload`: consumer `i` is the
-/// driver's cell `label(i)` of `target`.
+/// Runs a figure's accuracy cells over `workload` in one pass and
+/// returns their reports in cell order: cell `i` is classifier
+/// `cells[i].1` on a cache of shape `cells[i].0`. A `lead` consumer
+/// (the MRC family's curve) rides the same pass ahead of the cells.
+///
+/// Cells that share a whole geometry run as one [`AccuracyGroup`], one
+/// cache kernel for all of them (fig2's tag widths; the depth
+/// ablation's depths per geometry). That is exact only because no
+/// replacement policy reads the conflict bits a group stores per line,
+/// which [`AccuracyGroup::new`] asserts.
 ///
 /// Unprobed, the whole pass is one `cell_run` scope labelled
-/// `pass/{workload}`. With a probe armed, every cell replays as its
-/// own one-consumer pass inside its own [`probe::cell`], so the
-/// `obs-repro/1` output is exactly that of per-cell replay.
-pub(crate) fn accuracy_pass<'a>(
+/// `pass/{workload}`. With a probe armed, every cell is a group of its
+/// own and replays as its own one-consumer pass inside its own
+/// [`probe::cell`], so the `obs-repro/1` output is exactly that of
+/// per-cell replay. Consumer `i` of `target` is labelled `label(i)`
+/// there: the lead, if any, is consumer 0 and the cells follow it in
+/// order.
+pub(crate) fn accuracy_cells<T: mct::EvictionClassifier>(
     target: &'static str,
     workload: &workloads::Workload,
     events: usize,
     label: impl Fn(usize) -> String,
-    consumers: impl IntoIterator<Item = &'a mut dyn PassConsumer>,
-) {
-    let mut consumers: Vec<_> = consumers.into_iter().collect();
-    if probe::enabled() {
+    lead: Option<&mut dyn PassConsumer>,
+    cells: impl IntoIterator<Item = (CacheGeometry, T)>,
+) -> Vec<AccuracyReport> {
+    let probed = probe::enabled();
+    let mut tables: Vec<(CacheGeometry, Vec<T>)> = Vec::new();
+    // Per cell: its group and its member index there.
+    let mut places = Vec::new();
+    for (geom, table) in cells {
+        let group = tables
+            .iter()
+            .position(|(g, _)| !probed && *g == geom)
+            .unwrap_or_else(|| {
+                tables.push((geom, Vec::new()));
+                tables.len() - 1
+            });
+        places.push((group, tables[group].1.len()));
+        tables[group].1.push(table);
+    }
+    let mut groups: Vec<AccuracyGroup<T>> = tables
+        .into_iter()
+        .map(|(geom, members)| AccuracyGroup::new(geom, members))
+        .collect();
+    let mut consumers: Vec<&mut dyn PassConsumer> = lead
+        .into_iter()
+        .map(|c| &mut *c as &mut dyn PassConsumer)
+        .chain(groups.iter_mut().map(|g| g as &mut dyn PassConsumer))
+        .collect();
+    if probed {
         for (i, consumer) in consumers.iter_mut().enumerate() {
             probe::cell(
                 target,
@@ -400,6 +500,11 @@ pub(crate) fn accuracy_pass<'a>(
             || replay_accuracy(workload, events, &mut consumers),
         );
     }
+    let reports: Vec<Vec<AccuracyReport>> = groups.into_iter().map(AccuracyGroup::finish).collect();
+    places
+        .into_iter()
+        .map(|(group, member)| reports[group][member])
+        .collect()
 }
 
 /// The seed all experiments use (workload identity is mixed in by the

@@ -29,8 +29,8 @@
 //! index and the sampled index, regardless of trace length.
 
 use cache_model::CacheGeometry;
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::TagBits;
+use mct::accuracy::AccuracyReport;
+use mct::{MissClassificationTable, TagBits};
 use mrc::{CurvePoint, DistanceHistogram, ShardsEngine};
 use workloads::Workload;
 
@@ -242,11 +242,7 @@ pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
     let base = configs[0].1;
     let passes: Vec<(WorkloadCurve, Vec<AccuracyReport>)> = crate::par_map(workload_suite(), |w| {
         let mut curve = CurveBuilder::new(&w, events, base, sample);
-        let mut evals: Vec<AccuracyEvaluator> = configs
-            .iter()
-            .map(|&(_, geom)| AccuracyEvaluator::new(geom, TagBits::Full))
-            .collect();
-        crate::accuracy_pass(
+        let reports = crate::accuracy_cells(
             "mrc",
             &w,
             events,
@@ -254,13 +250,15 @@ pub fn run(events: usize, sample: Option<f64>) -> MrcRun {
                 0 => format!("curve/{}", w.name()),
                 i => format!("{}/{}", configs[i - 1].0, w.name()),
             },
-            std::iter::once(&mut curve as &mut dyn crate::PassConsumer)
-                .chain(evals.iter_mut().map(|e| e as &mut dyn crate::PassConsumer)),
+            Some(&mut curve),
+            configs.iter().map(|&(_, geom)| {
+                (
+                    geom,
+                    MissClassificationTable::new(geom.num_sets(), TagBits::Full),
+                )
+            }),
         );
-        (
-            curve.finish(),
-            evals.into_iter().map(AccuracyEvaluator::finish).collect(),
-        )
+        (curve.finish(), reports)
     });
 
     let mut cells = Vec::new();

@@ -8,13 +8,20 @@
 //! counts cover a single event, both sides of a replay block seam
 //! (1023, 1025) and a stream chunk seam (`STREAM_CHUNK + 1537`).
 //!
+//! The shared cache kernel: an [`AccuracyGroup`] of k classifiers on
+//! one geometry must report exactly what k one-classifier evaluators
+//! report, for the groups fig2 and the ablation build — the MCT at
+//! every fig2 tag width on the 16 KB DM cache, and shadow directories
+//! of every ablation depth on each fig1 geometry (the 2-way ones are
+//! set-associative LRU).
+//!
 //! One `#[test]` because stream mode ([`experiments::set_stream_mode`])
 //! is process-global.
 
 use experiments::mrc::{CurveBuilder, WorkloadCurve};
 use experiments::PassConsumer;
-use mct::accuracy::{AccuracyEvaluator, AccuracyReport};
-use mct::{ShadowDirectory, TagBits};
+use mct::accuracy::{AccuracyEvaluator, AccuracyGroup, AccuracyReport};
+use mct::{MissClassificationTable, ShadowDirectory, TagBits};
 
 /// Every consumer of one pass, in a fixed order.
 struct Cells {
@@ -91,6 +98,56 @@ fn one_by_one(w: &workloads::Workload, events: usize) -> (Vec<AccuracyReport>, V
     cells.finish()
 }
 
+/// Per cell, in figure order: fig2's widths, then each fig1
+/// geometry's depths — from one pass over one group per geometry.
+fn grouped(w: &workloads::Workload, events: usize) -> Vec<AccuracyReport> {
+    let configs = experiments::fig1::configurations();
+    let fig2_geom = configs[0].1;
+    let mut widths = AccuracyGroup::new(
+        fig2_geom,
+        experiments::fig2::widths()
+            .into_iter()
+            .map(|bits| MissClassificationTable::new(fig2_geom.num_sets(), bits)),
+    );
+    let mut depths: Vec<AccuracyGroup<ShadowDirectory>> = configs
+        .iter()
+        .map(|&(_, geom)| {
+            AccuracyGroup::new(
+                geom,
+                experiments::ablation::DEPTHS
+                    .iter()
+                    .map(|&depth| ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth)),
+            )
+        })
+        .collect();
+    let mut consumers: Vec<&mut dyn PassConsumer> = vec![&mut widths];
+    consumers.extend(depths.iter_mut().map(|g| g as &mut dyn PassConsumer));
+    experiments::replay_accuracy(w, events, &mut consumers);
+    let mut reports = widths.finish();
+    reports.extend(depths.into_iter().flat_map(AccuracyGroup::finish));
+    reports
+}
+
+/// [`grouped`]'s cells, each replayed by an evaluator of its own.
+fn alone(w: &workloads::Workload, events: usize) -> Vec<AccuracyReport> {
+    let configs = experiments::fig1::configurations();
+    let mut reports = Vec::new();
+    for bits in experiments::fig2::widths() {
+        let mut eval = AccuracyEvaluator::new(configs[0].1, bits);
+        experiments::replay_accuracy(w, events, &mut [&mut eval]);
+        reports.push(eval.finish());
+    }
+    for &(_, geom) in &configs {
+        for depth in experiments::ablation::DEPTHS {
+            let dir = ShadowDirectory::new(geom.num_sets(), TagBits::Full, depth);
+            let mut eval = AccuracyEvaluator::with_classifier(geom, dir);
+            experiments::replay_accuracy(w, events, &mut [&mut eval]);
+            reports.push(eval.finish());
+        }
+    }
+    reports
+}
+
 #[test]
 fn one_pass_with_k_consumers_equals_k_one_consumer_passes() {
     let w = workloads::by_name("gcc").expect("gcc analog exists");
@@ -113,5 +170,17 @@ fn one_pass_with_k_consumers_equals_k_one_consumer_passes() {
         );
         experiments::set_stream_mode(false);
         assert_eq!(arena, stream, "arena vs stream at {events} events");
+
+        for stream in [false, true] {
+            experiments::set_stream_mode(stream);
+            let shared = grouped(&w, events);
+            assert_eq!(
+                shared,
+                alone(&w, events),
+                "stream {stream}: a shared kernel diverged at {events} events"
+            );
+            assert!(shared.iter().all(|r| r.accesses == events as u64));
+        }
+        experiments::set_stream_mode(false);
     }
 }

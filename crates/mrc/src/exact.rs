@@ -1,50 +1,75 @@
-//! The single-pass exact stack-distance engine: an order-statistic
-//! tree over last-access timestamps.
+//! The single-pass exact stack-distance engine: Olken's marker
+//! count, ranked by 64-slot word.
 //!
-//! Olken's classic algorithm: give every access a fresh timestamp
-//! slot and keep one marker per *live* line at its most recent slot.
-//! The stack distance of a re-access is then the number of markers at
-//! slots later than the line's previous one — an order-statistic
-//! query, answered here by a Fenwick tree in O(log U). Slots are
-//! consumed monotonically, so the tree is compacted (live markers
-//! renumbered densely) whenever it fills; each compaction frees at
-//! least half the slots, keeping the amortised cost O(log U) per
-//! event and the memory O(distinct lines).
+//! Olken's algorithm gives every access a fresh timestamp slot and
+//! keeps one marker per *live* line at its most recent slot. The
+//! stack distance of a re-access is the number of markers at slots
+//! later than the line's previous one. Here:
+//!
+//! * each line gets a dense id at its first touch, so an event costs
+//!   one [`FxHashMap`] lookup, then `slot_of[id]` and `id_at[slot]`;
+//! * a marker is one bit of a bitmap over the slots;
+//! * a Fenwick tree counts the markers per 64-slot word, over the
+//!   words already written through. The word being filled stays out
+//!   of the tree until it is full.
+//!
+//! A re-access whose previous slot shares the newest slot's word
+//! counts markers with one popcount. A longer one adds the markers
+//! beyond its own word, read off the tree: U/64 nodes for U slots, a
+//! few KiB at the trace sizes the sweeps run, so it stays in L1. The
+//! stale marker then costs one tree update. Slots are consumed
+//! monotonically, so when they run out the live markers are
+//! renumbered densely by one linear walk of the bitmap (no sort, no
+//! map rewrite), growing the slot space when more than half of it is
+//! live. Each compaction frees at
+//! least half the slots, which keeps the amortised cost per event
+//! O(log(U/64)) and the memory O(distinct lines).
 
 use sim_core::hash::FxHashMap;
 
 use crate::histogram::{CurvePoint, DistanceHistogram, MissRatioCurve};
 use crate::COLD_DISTANCE;
 
-/// A Fenwick (binary indexed) tree counting live markers per slot.
+/// Bits per bitmap word: the slots one tree node counts.
+const WORD_BITS: u32 = u64::BITS;
+
+/// A Fenwick (binary indexed) tree of marker counts per bitmap word.
 ///
 /// Stored in `u32` with wrapping arithmetic: a decrement is an add of
 /// `u32::MAX` (two's complement), and because every true prefix sum
 /// is a count of live lines — always representable — the wrapped
 /// intermediate node values cancel out exactly in queries.
 #[derive(Debug, Clone, Default)]
-struct Fenwick {
+struct WordTree {
     tree: Vec<u32>,
 }
 
-impl Fenwick {
-    fn with_slots(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
+impl WordTree {
+    /// Resets the tree to `words` words, the first `full` of which
+    /// hold a whole word of markers, in O(words).
+    fn rebuild(&mut self, words: usize, full: usize) {
+        self.tree.clear();
+        self.tree.resize(words + 1, 0);
+        self.tree[1..=full].fill(WORD_BITS);
+        for i in 1..=words {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= words {
+                self.tree[parent] = self.tree[parent].wrapping_add(self.tree[i]);
+            }
         }
     }
 
-    fn add(&mut self, slot: u32, delta: u32) {
-        let mut i = slot as usize + 1;
+    fn add(&mut self, word: usize, delta: u32) {
+        let mut i = word + 1;
         while i < self.tree.len() {
             self.tree[i] = self.tree[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Number of live markers at slots `<= slot`.
-    fn prefix_through(&self, slot: u32) -> u32 {
-        let mut i = slot as usize + 1;
+    /// Markers in words `0..=word`.
+    fn prefix_through(&self, word: usize) -> u32 {
+        let mut i = word + 1;
         let mut sum = 0u32;
         while i > 0 {
             sum = sum.wrapping_add(self.tree[i]);
@@ -54,20 +79,27 @@ impl Fenwick {
     }
 }
 
-/// The exact single-pass engine: O(log U) per event, O(distinct
-/// lines) memory, and a histogram identical to
+/// The exact single-pass engine: O(log(U/64)) amortised per event,
+/// O(distinct lines) memory, and a histogram identical to
 /// [`crate::NaiveStackEngine`]'s event for event.
 #[derive(Debug, Clone, Default)]
 pub struct StackDistanceEngine {
-    /// line -> slot of its most recent access.
-    index: FxHashMap<u64, u32>,
-    tree: Fenwick,
-    /// Next unused slot; compaction renumbers when it hits `slots`.
+    /// line -> dense id, assigned at the line's first touch.
+    ids: FxHashMap<u64, u32>,
+    /// id -> slot of the line's most recent access; its length is the
+    /// number of live lines.
+    slot_of: Vec<u32>,
+    /// slot -> id of the line accessed there, meaningful where the
+    /// slot's marker is set. Its length is the slot space.
+    id_at: Vec<u32>,
+    /// One marker bit per slot, set at each live line's most recent
+    /// slot.
+    markers: Vec<u64>,
+    /// Marker counts of the full words `0..next_slot / 64`.
+    words: WordTree,
+    /// Next unused slot; compaction renumbers when it reaches the end
+    /// of the slot space.
     next_slot: u32,
-    /// Total slots the tree currently addresses.
-    slots: u32,
-    /// Live lines (markers in the tree).
-    live: u32,
     hist: DistanceHistogram,
 }
 
@@ -99,26 +131,49 @@ impl StackDistanceEngine {
     /// distance (`None` for a first touch), leaving the histogram
     /// alone.
     fn touch(&mut self, line: u64) -> Option<u64> {
-        if self.next_slot == self.slots {
+        if self.next_slot as usize == self.id_at.len() {
             self.compact();
         }
         let slot = self.next_slot;
-        self.next_slot += 1;
-        match self.index.insert(line, slot) {
-            Some(prev) => {
-                // Live markers strictly after `prev` are exactly the
-                // distinct lines touched since the previous access.
-                let distance = u64::from(self.live - self.tree.prefix_through(prev));
-                self.tree.add(prev, u32::MAX); // -1
-                self.tree.add(slot, 1);
-                Some(distance)
-            }
-            None => {
-                self.live += 1;
-                self.tree.add(slot, 1);
-                None
-            }
+        let new_id = self.slot_of.len() as u32;
+        let id = *self.ids.entry(line).or_insert(new_id);
+        let distance = if id == new_id {
+            self.slot_of.push(slot);
+            None
+        } else {
+            let prev = std::mem::replace(&mut self.slot_of[id as usize], slot);
+            Some(self.unmark(prev, slot))
+        };
+        self.id_at[slot as usize] = id;
+        let word = (slot / WORD_BITS) as usize;
+        self.markers[word] |= 1 << (slot % WORD_BITS);
+        self.next_slot = slot + 1;
+        if self.next_slot.is_multiple_of(WORD_BITS) {
+            self.words.add(word, self.markers[word].count_ones());
         }
+        distance
+    }
+
+    /// Clears the marker at `prev` and returns the number of markers
+    /// after it — the distinct lines touched since that access. `top`
+    /// is the slot about to be written: no marker lies at or beyond
+    /// it.
+    fn unmark(&mut self, prev: u32, top: u32) -> u64 {
+        let word = (prev / WORD_BITS) as usize;
+        let top_word = (top / WORD_BITS) as usize;
+        let bit = 1u64 << (prev % WORD_BITS);
+        let mut distance = u64::from((self.markers[word] & !(bit | (bit - 1))).count_ones());
+        self.markers[word] &= !bit;
+        if word == top_word {
+            return distance;
+        }
+        // `word` is full, so it is in the tree, which still counts
+        // `prev`'s own marker there. Every marker outside words
+        // `0..=word` lies after `prev`.
+        let through = self.words.prefix_through(word);
+        distance += u64::from(self.slot_of.len() as u32 - through);
+        self.words.add(word, u32::MAX); // -1
+        distance
     }
 
     /// Records a chunk of decomposed references (see
@@ -180,27 +235,47 @@ impl StackDistanceEngine {
         }));
     }
 
-    /// Renumbers live markers densely into slot order, growing the
-    /// slot space when more than half of it is live. Freeing at least
-    /// half the slots each time keeps the amortised cost O(log U).
+    /// Renumbers the live markers densely into slot order, growing
+    /// the slot space when more than half of it is live. Freeing at
+    /// least half the slots each time keeps the amortised cost
+    /// O(log(U/64)).
     fn compact(&mut self) {
-        if u64::from(self.live) * 2 >= u64::from(self.slots) {
-            self.slots = (self.slots * 2).max(64);
+        // The k-th marker in slot order moves to slot k, never later
+        // than its old slot, so one forward walk rewrites `id_at` in
+        // place.
+        let mut next = 0usize;
+        for word in 0..self.markers.len() {
+            let mut bits = self.markers[word];
+            while bits != 0 {
+                let slot = word * WORD_BITS as usize + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let id = self.id_at[slot];
+                self.id_at[next] = id;
+                self.slot_of[id as usize] = next as u32;
+                next += 1;
+            }
         }
-        let mut markers: Vec<(u32, u64)> = self.index.iter().map(|(&l, &s)| (s, l)).collect();
-        markers.sort_unstable_by_key(|&(slot, _)| slot);
-        self.tree = Fenwick::with_slots(self.slots as usize);
-        for (new_slot, &(_, line)) in markers.iter().enumerate() {
-            self.index.insert(line, new_slot as u32);
-            self.tree.add(new_slot as u32, 1);
+        let live = self.slot_of.len();
+        if live * 2 >= self.id_at.len() {
+            let slots = (self.id_at.len() * 2).max(WORD_BITS as usize);
+            self.id_at.resize(slots, 0);
         }
-        self.next_slot = self.live;
+        let words = self.id_at.len() / WORD_BITS as usize;
+        let full = live / WORD_BITS as usize;
+        self.markers.clear();
+        self.markers.resize(words, 0);
+        self.markers[..full].fill(u64::MAX);
+        if !live.is_multiple_of(WORD_BITS as usize) {
+            self.markers[full] = (1 << (live % WORD_BITS as usize)) - 1;
+        }
+        self.words.rebuild(words, full);
+        self.next_slot = live as u32;
     }
 
     /// Distinct lines seen so far.
     #[must_use]
     pub fn distinct_lines(&self) -> u64 {
-        u64::from(self.live)
+        self.slot_of.len() as u64
     }
 
     /// The accumulated distance histogram.

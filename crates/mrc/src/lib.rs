@@ -15,10 +15,13 @@
 //! * [`NaiveStackEngine`] — the textbook O(n·m) move-to-front list.
 //!   Trivially auditable; kept as the reference oracle the fast
 //!   engines are differentially tested against.
-//! * [`StackDistanceEngine`] — the single-pass exact engine: an
-//!   order-statistic tree (Fenwick form) over last-access timestamps
-//!   plus an [`FxHashMap`](sim_core::hash::FxHashMap) line index,
-//!   O(log U) amortised per event and O(distinct lines) memory.
+//! * [`StackDistanceEngine`] — the single-pass exact engine: Olken's
+//!   count of live last-access markers, kept as a bitmap over access
+//!   slots with a Fenwick tree over its 64-slot words. Lines get dense
+//!   ids from one [`FxHashMap`](sim_core::hash::FxHashMap) lookup per
+//!   event; a reuse within one word costs a popcount, a longer one a
+//!   word-tree query. O(log(U/64)) amortised per event for U slots,
+//!   and O(distinct lines) memory.
 //! * [`ShardsEngine`] — SHARDS-style fixed-rate spatial sampling: a
 //!   deterministic hash of the line address admits each line with
 //!   probability `R`, and sampled distances are scaled by `1/R` at

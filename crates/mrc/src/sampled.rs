@@ -71,8 +71,15 @@ impl ShardsEngine {
     pub fn record_line(&mut self, line: u64) {
         self.offered += 1;
         if spatial_hash(line) <= self.threshold {
-            self.inner.record_line(line);
+            self.admit(line);
         }
+    }
+
+    /// Records an admitted line. Kept out of line so that the filter
+    /// loop over rejected lines stays one hash and a compare.
+    #[inline(never)]
+    fn admit(&mut self, line: u64) {
+        self.inner.record_line(line);
     }
 
     /// Records a chunk of decomposed references (see

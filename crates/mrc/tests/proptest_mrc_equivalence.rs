@@ -171,3 +171,75 @@ proptest! {
         }
     }
 }
+
+/// A long trace that walks the engine through every regime of its
+/// index: 34 432 events in six phases whose round-robin working set
+/// doubles from 64 to 2048 lines, interleaved with a hot set of eight
+/// lines. Each phase wraps its working set at least three times.
+///
+/// * Hot re-accesses land a few slots back, inside the newest marker
+///   word (one popcount); the round-robin sweep of the later phases
+///   reaches back thousands of slots, across many words (the word
+///   tree).
+/// * The live lines (8 hot plus every working-set line seen so far)
+///   outgrow half the slot space phase after phase, so the slot space
+///   doubles from 64 to 8192 slots.
+/// * Each phase runs at least 4 000 events, far more than the slots
+///   its live lines leave free, so the slots run out again and again:
+///   the engine compacts 51 times, the first of which allocates 64
+///   slots.
+fn regime_walk_trace() -> Vec<u64> {
+    let mut rng = sim_core::rng::SplitMix64::new(0x5eed);
+    let mut lines = Vec::new();
+    for phase in 0..6u32 {
+        let working_set = 64u64 << phase;
+        let mut cursor = 0u64;
+        for _ in 0..(6 * working_set).max(4_000) {
+            if rng.next_below(2) == 0 {
+                lines.push((1 << 20) + rng.next_below(8));
+            } else {
+                lines.push(cursor);
+                cursor = (cursor + 1) % working_set;
+            }
+        }
+    }
+    lines
+}
+
+/// Per-event distances of the long regime-walk trace, fed at chunk
+/// sizes 1, 7, 1024 and whole-trace, equal the naive oracle's at
+/// every event, cold sentinel included.
+#[test]
+fn long_trace_distances_match_naive_oracle_across_compactions() {
+    let set_bits = 5;
+    let lines = regime_walk_trace();
+    let sets: Vec<u32> = lines.iter().map(|&l| (l & 31) as u32).collect();
+    let tags: Vec<u64> = lines.iter().map(|&l| l >> set_bits).collect();
+    let mut naive = NaiveStackEngine::new();
+    let expected: Vec<u32> = lines
+        .iter()
+        .map(|&line| {
+            naive
+                .record_line_distance(line)
+                .map_or(COLD_DISTANCE, |d| d as u32)
+        })
+        .collect();
+    // Reuse within one marker word and across thousands of slots.
+    assert!(expected.iter().any(|&d| d < 8));
+    assert!(expected.iter().any(|&d| d != COLD_DISTANCE && d > 2_048));
+
+    for chunk in [1, 7, 1024, lines.len()] {
+        let mut engine = StackDistanceEngine::new();
+        let mut distances = Vec::with_capacity(lines.len());
+        for (s, t) in sets.chunks(chunk).zip(tags.chunks(chunk)) {
+            engine.record_parts_distances(s, t, set_bits, &mut distances);
+        }
+        if let Some(i) = (0..lines.len()).find(|&i| distances[i] != expected[i]) {
+            panic!(
+                "chunk {chunk}: event {i} (line {}) got {} want {}",
+                lines[i], distances[i], expected[i]
+            );
+        }
+        assert_eq!(engine.distinct_lines(), naive.distinct_lines());
+    }
+}
