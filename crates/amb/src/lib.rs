@@ -135,7 +135,7 @@ pub enum Role {
 }
 
 /// Configuration of an [`AmbSystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AmbConfig {
     /// The policy combination.
     pub policy: AmbPolicy,

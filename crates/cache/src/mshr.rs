@@ -25,6 +25,9 @@ pub enum MshrOutcome {
     },
 }
 
+/// The cached earliest completion of an empty file.
+const NEVER: Cycle = Cycle::new(u64::MAX);
+
 #[derive(Debug, Clone, Copy)]
 struct MshrEntry {
     line: LineAddr,
@@ -34,7 +37,8 @@ struct MshrEntry {
 /// A file of Miss Status Holding Registers.
 ///
 /// Entries are retired lazily: every call first releases entries whose
-/// fill has completed by `now`.
+/// fill has completed by `now`. The file caches its earliest
+/// completion time, so a call before that cycle skips the walk.
 ///
 /// # Examples
 ///
@@ -61,6 +65,8 @@ struct MshrEntry {
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<MshrEntry>,
+    /// The earliest `ready` among `entries`; [`NEVER`] when empty.
+    next_ready: Cycle,
 }
 
 impl MshrFile {
@@ -75,22 +81,30 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
+            next_ready: NEVER,
         }
+    }
+
+    fn push(&mut self, line: LineAddr, ready: Cycle) {
+        self.entries.push(MshrEntry { line, ready });
+        self.next_ready = self.next_ready.min(ready);
     }
 
     /// Requests an MSHR for a miss on `line` at time `now` whose fill
     /// would complete at `ready`.
+    #[inline]
     pub fn request(&mut self, line: LineAddr, now: Cycle, ready: Cycle) -> MshrOutcome {
         self.retire(now);
         if let Some(e) = self.entries.iter().find(|e| e.line == line) {
             return MshrOutcome::Coalesced(e.ready);
         }
         if self.entries.len() < self.capacity {
-            self.entries.push(MshrEntry { line, ready });
+            self.push(line, ready);
             return MshrOutcome::Allocated(ready);
         }
+        // Full, so non-empty: `next_ready` is the earliest completion.
         MshrOutcome::Full {
-            retry_at: self.earliest_ready_inner(),
+            retry_at: self.next_ready,
         }
     }
 
@@ -98,6 +112,7 @@ impl MshrFile {
     /// (coalescing), returning its completion time if so.
     ///
     /// Unlike [`Self::request`], this never allocates.
+    #[inline]
     pub fn lookup(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
         self.retire(now);
         self.entries
@@ -107,6 +122,7 @@ impl MshrFile {
     }
 
     /// `true` if a new entry could be allocated at `now`.
+    #[inline]
     pub fn has_free(&mut self, now: Cycle) -> bool {
         self.retire(now);
         self.entries.len() < self.capacity
@@ -121,21 +137,30 @@ impl MshrFile {
     /// # Panics
     ///
     /// Panics if the file is full.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr, ready: Cycle) {
         assert!(
             self.entries.len() < self.capacity,
             "MSHR insert into full file"
         );
-        self.entries.push(MshrEntry { line, ready });
+        self.push(line, ready);
     }
 
-    /// Releases every entry whose fill has completed by `now`.
+    /// Releases every entry whose fill has completed by `now`. Before
+    /// the earliest completion nothing retires, and the entries are
+    /// not walked.
+    #[inline]
     pub fn retire(&mut self, now: Cycle) {
+        if now < self.next_ready {
+            return;
+        }
         self.entries.retain(|e| e.ready > now);
+        self.next_ready = self.entries.iter().map(|e| e.ready).min().unwrap_or(NEVER);
     }
 
     /// Number of outstanding misses (after retiring completed ones).
     #[must_use]
+    #[inline]
     pub fn outstanding(&mut self, now: Cycle) -> usize {
         self.retire(now);
         self.entries.len()
@@ -144,13 +169,9 @@ impl MshrFile {
     /// The earliest completion time among outstanding misses, or
     /// `None` when the file is empty.
     #[must_use]
+    #[inline]
     pub fn earliest_ready(&self) -> Option<Cycle> {
-        self.entries.iter().map(|e| e.ready).min()
-    }
-
-    fn earliest_ready_inner(&self) -> Cycle {
-        self.earliest_ready()
-            .expect("Full outcome implies nonempty file")
+        (!self.entries.is_empty()).then_some(self.next_ready)
     }
 
     /// The file's capacity.

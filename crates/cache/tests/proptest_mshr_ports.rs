@@ -36,6 +36,66 @@ proptest! {
         }
     }
 
+    /// The file retires lazily (it walks its entries only once `now`
+    /// reaches the earliest completion), yet every call answers as a
+    /// model that retires on every call: `lookup`, `has_free`,
+    /// `insert`, `request`, `outstanding` and `earliest_ready`,
+    /// interleaved at non-decreasing times.
+    #[test]
+    fn mshr_matches_retain_always_model(
+        ops in prop::collection::vec((0u8..5, 0u64..8, 0u64..30, 1u64..120), 1..300)
+    ) {
+        const CAPACITY: usize = 3;
+        let mut mshrs = MshrFile::new(CAPACITY);
+        // (line, ready) in allocation order.
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let mut now = Cycle::ZERO;
+        for (op, line, advance, latency) in ops {
+            now += advance;
+            let ready = now + latency;
+            let retire = |model: &mut Vec<(u64, u64)>| model.retain(|&(_, r)| r > now.raw());
+            let earliest = |model: &Vec<(u64, u64)>| model.iter().map(|&(_, r)| Cycle::new(r)).min();
+            match op {
+                0 => {
+                    retire(&mut model);
+                    let expected = model.iter().find(|&&(l, _)| l == line).map(|&(_, r)| Cycle::new(r));
+                    prop_assert_eq!(mshrs.lookup(LineAddr::new(line), now), expected);
+                }
+                1 => {
+                    retire(&mut model);
+                    prop_assert_eq!(mshrs.has_free(now), model.len() < CAPACITY);
+                }
+                2 => {
+                    // The check-fetch-insert sequence `Plumbing` runs.
+                    retire(&mut model);
+                    if mshrs.has_free(now) {
+                        mshrs.insert(LineAddr::new(line), ready);
+                        model.push((line, ready.raw()));
+                    }
+                }
+                3 => {
+                    retire(&mut model);
+                    let expected = if let Some(&(_, r)) = model.iter().find(|&&(l, _)| l == line) {
+                        MshrOutcome::Coalesced(Cycle::new(r))
+                    } else if model.len() < CAPACITY {
+                        model.push((line, ready.raw()));
+                        MshrOutcome::Allocated(ready)
+                    } else {
+                        MshrOutcome::Full { retry_at: earliest(&model).expect("full file") }
+                    };
+                    prop_assert_eq!(mshrs.request(LineAddr::new(line), now, ready), expected);
+                }
+                _ => {
+                    retire(&mut model);
+                    prop_assert_eq!(mshrs.outstanding(now), model.len());
+                }
+            }
+            // `earliest_ready` does not retire: it answers over every
+            // entry not yet released, as the model's retained set.
+            prop_assert_eq!(mshrs.earliest_ready(), earliest(&model));
+        }
+    }
+
     /// Port grants never precede the request and each resource is
     /// never double-booked: at most `resources` grants can coexist in
     /// any busy window.

@@ -8,7 +8,7 @@ use trace_gen::{AccessKind, TraceEvent};
 use crate::{MemResponse, MemorySystem};
 
 /// Processor core parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CpuConfig {
     /// Instructions fetched/dispatched per cycle (paper: 8).
     pub fetch_width: u32,

@@ -10,8 +10,8 @@
 //! * **buffer size** — the AMB's entry count around the paper's 8/16
 //!   points.
 
-use amb::{AmbConfig, AmbPolicy, AmbSystem};
-use cpu_model::{BaselineSystem, CpuConfig, OooModel};
+use amb::{AmbConfig, AmbPolicy};
+use cpu_model::CpuConfig;
 use mct::accuracy::AccuracyReport;
 use mct::{ShadowDirectory, TagBits};
 use sim_core::stats::GeoMean;
@@ -117,30 +117,23 @@ fn depth_sweep(events: usize) -> Vec<DepthPoint> {
 fn window_sweep(events: usize) -> Vec<WindowPoint> {
     let benchmarks = suite();
     crate::par_map(WINDOWS.to_vec(), |window| {
-        let cpu = OooModel::new(CpuConfig {
+        let cpu = CpuConfig {
             window,
             ..CpuConfig::paper_default()
-        });
+        };
         let mut ipc_sum = 0.0;
         let mut mean = GeoMean::default();
         for w in &benchmarks {
-            let run = |sys: &mut dyn cpu_model::MemorySystem| {
-                crate::telemetry::record_events(events as u64);
-                cpu.run(&mut &mut *sys, crate::events_for(w, crate::SEED, events))
-            };
-            let mut base = BaselineSystem::paper_default().expect("paper config");
-            let base_report = crate::probe::cell(
+            let (base_report, _) = crate::probe::cell(
                 "ablation",
                 || format!("window/w{window}-base/{}", w.name()),
-                || run(&mut base),
+                || crate::cells::baseline_cell_on(cpu, w, events),
             );
             ipc_sum += base_report.ipc();
-            let mut amb = AmbSystem::paper_default(AmbConfig::new(AmbPolicy::VictPref))
-                .expect("paper config");
-            let amb_report = crate::probe::cell(
+            let (amb_report, _) = crate::probe::cell(
                 "ablation",
                 || format!("window/w{window}-victpref/{}", w.name()),
-                || run(&mut amb),
+                || crate::cells::amb_cell(AmbConfig::new(AmbPolicy::VictPref), cpu, w, events),
             );
             mean.push(amb_report.speedup_over(&base_report));
         }
@@ -154,17 +147,13 @@ fn window_sweep(events: usize) -> Vec<WindowPoint> {
 
 fn buffer_sweep(events: usize) -> Vec<BufferPoint> {
     let benchmarks = suite();
-    let cpu = OooModel::new(CpuConfig::paper_default());
     let baselines: Vec<_> = benchmarks
         .iter()
         .map(|w| {
             crate::probe::cell(
                 "ablation",
                 || format!("buffer/base/{}", w.name()),
-                || {
-                    let mut base = BaselineSystem::paper_default().expect("paper config");
-                    crate::drive(&mut base, w, events)
-                },
+                || crate::cells::baseline_cell(w, events).0,
             )
         })
         .collect();
@@ -179,9 +168,7 @@ fn buffer_sweep(events: usize) -> Vec<BufferPoint> {
                         entries,
                         ..AmbConfig::new(AmbPolicy::VicPreExc)
                     };
-                    let mut sys = AmbSystem::paper_default(cfg).expect("paper config");
-                    crate::telemetry::record_events(events as u64);
-                    cpu.run(&mut sys, crate::events_for(w, crate::SEED, events))
+                    crate::cells::amb_cell(cfg, CpuConfig::paper_default(), w, events).0
                 },
             );
             mean.push(report.speedup_over(base));

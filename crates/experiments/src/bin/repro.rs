@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use experiments::checkpoint::{self, CellEntry, CellStatus, CheckpointWriter};
 use experiments::cli::{self, Target};
 use experiments::ioutil;
-use experiments::telemetry::{BenchReport, FigureBench, Stopwatch};
+use experiments::telemetry::{self, BenchReport, FigureBench, Stopwatch};
 use experiments::tracing::{self, MetricsSnapshot, TraceFormat, TraceHeader};
 
 /// Exit code of a `--crash-after` simulated kill (distinct from the
@@ -317,6 +317,13 @@ fn main() -> ExitCode {
         report.total_events_per_sec() / 1e6,
         report.total_events(),
         sim_core::parallel::effective_threads(usize::MAX),
+    );
+    // Served events follow the figures' formulas; computed ones leave
+    // out the cells the cell memo served.
+    eprintln!(
+        "[bench] events   {} served, {} computed",
+        telemetry::events_simulated(),
+        telemetry::events_computed(),
     );
 
     if let Some(path) = &opts.bench_json {

@@ -6,10 +6,10 @@
 //! 2.6% of accesses; filtering swaps cuts swaps from 1.7% to 0.1%
 //! while shifting hits from the cache to the buffer.
 
-use cpu_model::{BaselineSystem, CpuReport};
+use cpu_model::CpuReport;
 use sim_core::stats::GeoMean;
 use victim_cache::{VictimConfig, VictimPolicy, VictimStats, VictimSystem};
-use workloads::{suite, Workload};
+use workloads::suite;
 
 use crate::table::{pct, speedup};
 use crate::{drive, Table};
@@ -45,12 +45,6 @@ pub fn simulated_events(events: usize) -> u64 {
     ((1 + VictimPolicy::ALL.len()) * suite().len() * events) as u64
 }
 
-fn run_baseline(w: &Workload, events: usize) -> (CpuReport, f64) {
-    let mut sys = BaselineSystem::paper_default().expect("paper config");
-    let report = drive(&mut sys, w, events);
-    (report, sys.l1_stats().hit_rate())
-}
-
 /// Runs the Figure 3 / Table 1 experiment.
 #[must_use]
 pub fn run(events: usize) -> Fig3 {
@@ -59,7 +53,10 @@ pub fn run(events: usize) -> Fig3 {
         crate::probe::cell(
             "fig3",
             || format!("baseline/{}", w.name()),
-            || run_baseline(&w, events),
+            || {
+                let (report, l1) = crate::cells::baseline_cell(&w, events);
+                (report, l1.hit_rate())
+            },
         )
     });
     let mut base_hits = 0.0;

@@ -5,7 +5,7 @@
 //! the best performance, beating both the MAT and the more complex
 //! MCT variants, with a higher overall hit rate.
 
-use cpu_model::{BaselineSystem, CpuReport};
+use cpu_model::CpuReport;
 use exclusion::{ExclusionConfig, ExclusionPolicy, ExclusionStats, ExclusionSystem};
 use sim_core::stats::GeoMean;
 use workloads::suite;
@@ -51,9 +51,8 @@ pub fn run(events: usize) -> Fig5 {
             "fig5",
             || format!("baseline/{}", w.name()),
             || {
-                let mut sys = BaselineSystem::paper_default().expect("paper config");
-                let report = drive(&mut sys, &w, events);
-                (report, sys.l1_stats().hit_rate())
+                let (report, l1) = crate::cells::baseline_cell(&w, events);
+                (report, l1.hit_rate())
             },
         )
     });

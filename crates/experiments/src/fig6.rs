@@ -7,13 +7,13 @@
 //! optimization, with a ~1.4× average miss-rate improvement over the
 //! best single policy.
 
-use amb::{AmbConfig, AmbPolicy, AmbStats, AmbSystem};
-use cpu_model::{BaselineSystem, CpuReport};
+use amb::{AmbConfig, AmbPolicy, AmbStats};
+use cpu_model::{CpuConfig, CpuReport};
 use sim_core::stats::GeoMean;
 use workloads::suite;
 
 use crate::table::{pct, speedup};
-use crate::{drive, Table};
+use crate::Table;
 
 /// Results for one AMB policy at one buffer size.
 #[derive(Debug, Clone)]
@@ -56,9 +56,8 @@ pub fn run(events: usize) -> Fig6 {
             "fig6",
             || format!("baseline/{}", w.name()),
             || {
-                let mut sys = BaselineSystem::paper_default().expect("paper config");
-                let report = drive(&mut sys, &w, events);
-                (report, sys.l1_stats().hit_rate())
+                let (report, l1) = crate::cells::baseline_cell(&w, events);
+                (report, l1.hit_rate())
             },
         )
     });
@@ -88,11 +87,7 @@ pub fn run(events: usize) -> Fig6 {
             let (report, s) = crate::probe::cell(
                 "fig6",
                 || format!("{policy}-{entries}/{}", w.name()),
-                || {
-                    let mut sys = AmbSystem::paper_default(cfg).expect("paper config");
-                    let report = drive(&mut sys, w, events);
-                    (report, *sys.stats())
-                },
+                || crate::cells::amb_cell(cfg, CpuConfig::paper_default(), w, events),
             );
             mean.push(report.speedup_over(base));
             let s = &s;

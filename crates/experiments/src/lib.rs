@@ -53,6 +53,26 @@
 //! engine, in O(chunk + blocks × geometries + distinct lines) memory,
 //! with byte-identical output.
 //!
+//! Across drivers, each distinct cell is computed once. A cell is a
+//! key naming everything its result depends on: an accuracy cell is
+//! (workload, seed, events, input mode, geometry, classifier spec —
+//! MCT tag width or shadow depth); a CPU-model cell is (memory system,
+//! core configuration, workload, seed, events, input mode). The
+//! drivers ask a process-wide cell memo for their cells and simulate
+//! only the ones it lacks: MRC's cells on the SPEC95-analog suite are
+//! fig1's, fig2's full-tag width is fig1's 16 KB DM column, the
+//! paper-baseline CPU run serves fig3, fig5, fig6, §5.4, §5.6 and the
+//! ablations, and the ablations revisit fig6's AMB cells. The memo
+//! lives as long as the arenas' contents: [`TraceArena::clear`] starts
+//! a new generation and empties it. It is bypassed — neither read nor
+//! written — while a probe sink or a span trace is armed, so probe and
+//! trace output is that of per-cell runs at any thread count. Figures
+//! that run concurrently may both compute a missing cell; the values
+//! are equal and the first insert wins. [`telemetry::events_simulated`]
+//! counts the events served to cells, which the `simulated_events`
+//! formulas give; [`telemetry::events_computed`] counts the events
+//! actually simulated.
+//!
 //! Every driver takes the number of trace events per workload, so the
 //! same code serves quick smoke tests, Criterion benches, and the full
 //! `repro` runs. Absolute numbers differ from the paper (the substrate
@@ -72,6 +92,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+mod cells;
 pub mod checkpoint;
 pub mod cli;
 pub mod fig1;
@@ -435,16 +456,27 @@ pub fn replay_accuracy(
     });
 }
 
-/// Runs a figure's accuracy cells over `workload` in one pass and
-/// returns their reports in cell order: cell `i` is classifier
-/// `cells[i].1` on a cache of shape `cells[i].0`. A `lead` consumer
-/// (the MRC family's curve) rides the same pass ahead of the cells.
+/// Runs a figure's accuracy cells over `workload` and returns their
+/// reports in cell order: cell `i` is classifier `cells[i].1` on a
+/// cache of shape `cells[i].0`. A `lead` consumer (the MRC family's
+/// curve) rides the same pass ahead of the cells.
 ///
-/// Cells that share a whole geometry run as one [`AccuracyGroup`], one
-/// cache kernel for all of them (fig2's tag widths; the depth
-/// ablation's depths per geometry). That is exact only because no
-/// replacement policy reads the conflict bits a group stores per line,
-/// which [`AccuracyGroup::new`] asserts.
+/// Each cell is first looked up in the cell memo (module [`cells`]),
+/// keyed by workload, seed, events, input mode, geometry and
+/// classifier spec. Only the cells it lacks are simulated, and their
+/// reports are stored for every later figure that asks: MRC reads
+/// fig1's cells, fig2's full-tag width reads fig1's 16 KB DM column.
+/// A served cell counts its events as served, not computed
+/// ([`telemetry::record_reused`]). A pass runs only if it has a lead
+/// or a missing cell; the lead always runs, since the curve needs the
+/// distances. The memo lives until [`TraceArena::clear`] and is
+/// bypassed while a probe sink or a span trace is armed.
+///
+/// The missing cells that share a whole geometry run as one
+/// [`AccuracyGroup`], one cache kernel for all of them (fig2's tag
+/// widths; the depth ablation's depths per geometry). That is exact
+/// only because no replacement policy reads the conflict bits a group
+/// stores per line, which [`AccuracyGroup::new`] asserts.
 ///
 /// Unprobed, the whole pass is one `cell_run` scope labelled
 /// `pass/{workload}`. With a probe armed, every cell is a group of its
@@ -452,8 +484,8 @@ pub fn replay_accuracy(
 /// [`probe::cell`], so the `obs-repro/1` output is exactly that of
 /// per-cell replay. Consumer `i` of `target` is labelled `label(i)`
 /// there: the lead, if any, is consumer 0 and the cells follow it in
-/// order.
-pub(crate) fn accuracy_cells<T: mct::EvictionClassifier>(
+/// order (the memo is bypassed, so every cell is a consumer).
+pub(crate) fn accuracy_cells<T: cells::CellClassifier>(
     target: &'static str,
     workload: &workloads::Workload,
     events: usize,
@@ -462,10 +494,18 @@ pub(crate) fn accuracy_cells<T: mct::EvictionClassifier>(
     cells: impl IntoIterator<Item = (CacheGeometry, T)>,
 ) -> Vec<AccuracyReport> {
     let probed = probe::enabled();
+    let mut reports: Vec<Option<AccuracyReport>> = Vec::new();
     let mut tables: Vec<(CacheGeometry, Vec<T>)> = Vec::new();
-    // Per cell: its group and its member index there.
-    let mut places = Vec::new();
+    // Per missing cell: its report slot, its memo key (none while the
+    // memo is bypassed), its group and its member index there.
+    let mut misses = Vec::new();
     for (geom, table) in cells {
+        let cell = cells::AccuracyCell::new(workload, events, geom, table.spec());
+        let key = cells::ACCURACY.key(cell);
+        if let Some(report) = key.as_ref().and_then(|key| cells::ACCURACY.get(key)) {
+            reports.push(Some(report));
+            continue;
+        }
         let group = tables
             .iter()
             .position(|(g, _)| !probed && *g == geom)
@@ -473,9 +513,11 @@ pub(crate) fn accuracy_cells<T: mct::EvictionClassifier>(
                 tables.push((geom, Vec::new()));
                 tables.len() - 1
             });
-        places.push((group, tables[group].1.len()));
+        misses.push((reports.len(), key, group, tables[group].1.len()));
         tables[group].1.push(table);
+        reports.push(None);
     }
+    telemetry::record_reused(((reports.len() - misses.len()) * events) as u64);
     let mut groups: Vec<AccuracyGroup<T>> = tables
         .into_iter()
         .map(|(geom, members)| AccuracyGroup::new(geom, members))
@@ -493,18 +535,23 @@ pub(crate) fn accuracy_cells<T: mct::EvictionClassifier>(
                 || replay_accuracy(workload, events, std::slice::from_mut(consumer)),
             );
         }
-    } else {
+    } else if !consumers.is_empty() {
         probe::cell(
             target,
             || format!("pass/{}", workload.name()),
             || replay_accuracy(workload, events, &mut consumers),
         );
     }
-    let reports: Vec<Vec<AccuracyReport>> = groups.into_iter().map(AccuracyGroup::finish).collect();
-    places
-        .into_iter()
-        .map(|(group, member)| reports[group][member])
-        .collect()
+    let computed: Vec<Vec<AccuracyReport>> =
+        groups.into_iter().map(AccuracyGroup::finish).collect();
+    for (slot, key, group, member) in misses {
+        let report = computed[group][member];
+        if let Some(key) = key {
+            cells::ACCURACY.insert(key, report);
+        }
+        reports[slot] = Some(report);
+    }
+    reports.into_iter().flatten().collect()
 }
 
 /// The seed all experiments use (workload identity is mixed in by the
@@ -656,9 +703,23 @@ pub(crate) fn drive<M: cpu_model::MemorySystem>(
     workload: &workloads::Workload,
     events: usize,
 ) -> cpu_model::CpuReport {
-    let cpu = cpu_model::OooModel::new(cpu_model::CpuConfig::paper_default());
+    drive_on(
+        cpu_model::CpuConfig::paper_default(),
+        system,
+        workload,
+        events,
+    )
+}
+
+/// [`drive`] under core configuration `cpu`.
+pub(crate) fn drive_on<M: cpu_model::MemorySystem>(
+    cpu: cpu_model::CpuConfig,
+    system: &mut M,
+    workload: &workloads::Workload,
+    events: usize,
+) -> cpu_model::CpuReport {
     telemetry::record_events(events as u64);
-    cpu.run(system, events_for(workload, SEED, events))
+    cpu_model::OooModel::new(cpu).run(system, events_for(workload, SEED, events))
 }
 
 #[cfg(test)]

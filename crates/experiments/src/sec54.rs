@@ -5,7 +5,7 @@
 //! running only 0.9% slower than a true 2-way cache (with tomcatv,
 //! turb3d and wave5 beating the 2-way cache).
 
-use cpu_model::{BaselineSystem, CpuReport};
+use cpu_model::BaselineSystem;
 use pseudo_assoc::{PseudoAssocSystem, PseudoConfig, PseudoPolicy};
 use sim_core::stats::GeoMean;
 use workloads::suite;
@@ -64,11 +64,10 @@ pub fn run(events: usize) -> Sec54 {
 
     let rows: Vec<BenchRow> = crate::par_map(benchmarks, |w| {
         let w = &w;
-        let mut dm = BaselineSystem::paper_default().expect("paper config");
-        let _dm_report: CpuReport = crate::probe::cell(
+        let (_, dm) = crate::probe::cell(
             "sec54",
             || format!("dm/{}", w.name()),
-            || drive(&mut dm, w, events),
+            || crate::cells::baseline_cell(w, events),
         );
 
         let mut base = PseudoAssocSystem::paper_default(PseudoConfig::new(PseudoPolicy::Lru))
@@ -97,7 +96,7 @@ pub fn run(events: usize) -> Sec54 {
 
         BenchRow {
             name: w.name().to_owned(),
-            dm_miss: dm.l1_stats().miss_rate(),
+            dm_miss: dm.miss_rate(),
             base_miss: base.stats().miss_rate(),
             modified_miss: modified.stats().miss_rate(),
             two_way_miss: two_way.l1_stats().miss_rate(),

@@ -80,7 +80,7 @@ fn thread_trace(w: &Workload, seed: u64, events: usize, offset: u64) -> Vec<Trac
         .collect()
 }
 
-/// Solo run: (miss rate, IPC).
+/// Solo run of a partner thread trace: (miss rate, IPC).
 fn solo_run(trace: &[TraceEvent]) -> (f64, f64) {
     let mut sys = BaselineSystem::paper_default().expect("paper config");
     let cpu = OooModel::new(CpuConfig::paper_default());
@@ -111,10 +111,20 @@ pub fn run(events: usize) -> Sec56 {
         .iter()
         .map(|w| thread_trace(w, SEED + 1, events, 1 << 43))
         .collect();
+    // A job's solo run is its paper-baseline cell: its thread trace
+    // is the arena trace unshifted.
     let solo: Vec<(f64, f64)> = jobs
         .iter()
-        .zip(&traces)
-        .map(|(w, t)| crate::probe::cell("sec56", || format!("solo/{}", w.name()), || solo_run(t)))
+        .map(|w| {
+            crate::probe::cell(
+                "sec56",
+                || format!("solo/{}", w.name()),
+                || {
+                    let (report, l1) = crate::cells::baseline_cell(w, events);
+                    (l1.miss_rate(), report.ipc())
+                },
+            )
+        })
         .collect();
     let solo_partner: Vec<(f64, f64)> = jobs
         .iter()

@@ -17,9 +17,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use trace_gen::arena::{ArenaStats, TraceArena};
 
-/// Trace events fed into any simulator or classifier since process
-/// start, across all threads.
+/// Trace events served to figure cells since process start, across
+/// all threads: simulated, or read from the cell memo.
 static EVENTS_SIMULATED: AtomicU64 = AtomicU64::new(0);
+
+/// The share of [`EVENTS_SIMULATED`] that a simulator or classifier
+/// actually ran.
+static EVENTS_COMPUTED: AtomicU64 = AtomicU64::new(0);
 
 /// A monotonic wall-clock stopwatch for harness timing.
 ///
@@ -74,18 +78,37 @@ pub fn trace_clock_ns() -> u64 {
     .unwrap_or(u64::MAX)
 }
 
-/// Records `n` simulated events. Called by every driver's inner loop
-/// (via `drive` or directly); the per-figure formulas in
+/// Records `n` events simulated for figure cells: served and
+/// computed. Called by every driver's inner loop (via `drive` or
+/// directly); the per-figure formulas in
 /// [`crate::cli::Target::simulated_events`] are cross-checked against
-/// this counter in tests.
+/// the served count in tests.
 pub fn record_events(n: u64) {
+    EVENTS_SIMULATED.fetch_add(n, Ordering::Relaxed);
+    EVENTS_COMPUTED.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Records `n` events of figure cells served from the cell memo: they
+/// count as served ([`events_simulated`]) but not as computed
+/// ([`events_computed`]).
+pub fn record_reused(n: u64) {
     EVENTS_SIMULATED.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Total events recorded so far.
+/// Events served to figure cells so far, whether simulated or read
+/// from the cell memo: the sum of the drivers' `simulated_events`
+/// formulas over what has run.
 #[must_use]
 pub fn events_simulated() -> u64 {
     EVENTS_SIMULATED.load(Ordering::Relaxed)
+}
+
+/// Events actually simulated so far: [`events_simulated`] less the
+/// events of cells the memo served. A cell computed twice (two racing
+/// passes, or after a [`TraceArena::clear`]) counts twice.
+#[must_use]
+pub fn events_computed() -> u64 {
+    EVENTS_COMPUTED.load(Ordering::Relaxed)
 }
 
 /// One figure driver's measured run.

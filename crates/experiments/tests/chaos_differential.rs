@@ -31,13 +31,21 @@ const TARGETS: [Target; 2] = [Target::Fig1, Target::Fig3];
 /// `(rendered tables, obs JSONL)`. The arenas are cleared first so
 /// every run re-materializes and the `ArenaMaterialize` site actually
 /// fires instead of hitting the memoized entries of the previous run.
+/// The armed probe bypasses the cell memo, so every run computes every
+/// cell.
 fn run_suite(threads: usize) -> (String, String) {
     TraceArena::global().clear();
     DecomposedArena::global().clear();
     sim_core::parallel::set_max_threads(threads);
     experiments::probe::configure(Some(ProbeMode::Epoch(EPOCH)));
 
+    let computed = experiments::telemetry::events_computed();
     let outcomes = experiments::try_par_map(TARGETS.to_vec(), |target| target.run(EVENTS));
+    let formulas: u64 = TARGETS.iter().map(|t| t.simulated_events(EVENTS)).sum();
+    assert!(
+        experiments::telemetry::events_computed() - computed >= formulas,
+        "a probed suite must compute every cell, not read the memo"
+    );
     let rendered: Vec<String> = outcomes
         .into_iter()
         .map(|cell| cell.expect("a recoverable plan must never degrade a cell"))

@@ -12,6 +12,11 @@
 //!   accuracy driver in arena and in stream mode;
 //! * **stream residency** — a stream run builds no arena entry.
 //!
+//! Each side of a serial-vs-parallel comparison starts from cleared
+//! arenas, which empties the cell memo, and must compute every one of
+//! its cells: a side served from the memo would compare a run with
+//! itself.
+//!
 //! Everything lives in ONE `#[test]` because the worker-thread cap
 //! ([`sim_core::parallel::set_max_threads`]) and stream mode are
 //! process-global state: splitting these into separate tests would
@@ -20,9 +25,26 @@
 use std::sync::Arc;
 
 use experiments::cli::Target;
+use experiments::telemetry::events_computed;
 use trace_gen::arena::TraceArena;
 use trace_gen::decomposed::DecomposedArena;
 use trace_gen::{TraceEvent, TraceSource};
+
+/// Runs `target` from cleared arenas (so an empty cell memo) and
+/// checks that it simulated every cell rather than reading any.
+fn run_computed(target: Target, events: usize) -> String {
+    TraceArena::global().clear();
+    DecomposedArena::global().clear();
+    let before = events_computed();
+    let rendered = target.run(events);
+    assert_eq!(
+        events_computed() - before,
+        target.simulated_events(events),
+        "{}: a compared side must compute all of its cells",
+        target.name()
+    );
+    rendered
+}
 
 #[test]
 fn repro_is_deterministic_across_schedules_and_replay() {
@@ -59,7 +81,7 @@ fn repro_is_deterministic_across_schedules_and_replay() {
     // against the live counter while nothing else is running.
     sim_core::parallel::set_max_threads(1);
     let before = experiments::telemetry::events_simulated();
-    let fig1_serial = Target::Fig1.run(EVENTS);
+    let fig1_serial = run_computed(Target::Fig1, EVENTS);
     let fig1_counted = experiments::telemetry::events_simulated() - before;
     assert_eq!(
         fig1_counted,
@@ -67,7 +89,7 @@ fn repro_is_deterministic_across_schedules_and_replay() {
         "fig1 event formula must match the live counter"
     );
     let before = experiments::telemetry::events_simulated();
-    let fig3_serial = Target::Fig3.run(EVENTS);
+    let fig3_serial = run_computed(Target::Fig3, EVENTS);
     let fig3_counted = experiments::telemetry::events_simulated() - before;
     assert_eq!(
         fig3_counted,
@@ -125,8 +147,8 @@ fn repro_is_deterministic_across_schedules_and_replay() {
 
     // Parallel runs render byte-identical reports.
     sim_core::parallel::set_max_threads(4);
-    let fig1_parallel = Target::Fig1.run(EVENTS);
-    let fig3_parallel = Target::Fig3.run(EVENTS);
+    let fig1_parallel = run_computed(Target::Fig1, EVENTS);
+    let fig3_parallel = run_computed(Target::Fig3, EVENTS);
     sim_core::parallel::set_max_threads(0);
     assert_eq!(
         fig1_serial, fig1_parallel,

@@ -9,6 +9,10 @@
 //!   produce the exact accuracy report of per-event trace-order
 //!   replay.
 //!
+//! Every compared figure run starts from cleared arenas, which empties
+//! the cell memo, and must compute all of its cells: a run served from
+//! the memo would compare a run with itself.
+//!
 //! Everything lives in ONE `#[test]` because stream mode
 //! ([`experiments::set_stream_mode`]) and the worker-thread cap
 //! ([`sim_core::parallel::set_max_threads`]) are process-global:
@@ -18,6 +22,24 @@ use cache_model::CacheGeometry;
 use experiments::cli::Target;
 use mct::accuracy::AccuracyEvaluator;
 use mct::TagBits;
+use trace_gen::arena::TraceArena;
+use trace_gen::decomposed::DecomposedArena;
+
+/// Runs `target` from cleared arenas (so an empty cell memo) and
+/// checks that it simulated every cell rather than reading any.
+fn run_computed(target: Target, events: usize) -> String {
+    TraceArena::global().clear();
+    DecomposedArena::global().clear();
+    let before = experiments::telemetry::events_computed();
+    let rendered = target.run(events);
+    assert_eq!(
+        experiments::telemetry::events_computed() - before,
+        target.simulated_events(events),
+        "{}: a compared run must compute all of its cells",
+        target.name()
+    );
+    rendered
+}
 
 #[test]
 fn stream_and_large_geometry_replay_match_arena_trace_order() {
@@ -26,13 +48,13 @@ fn stream_and_large_geometry_replay_match_arena_trace_order() {
     // Arena-mode reference reports, serial.
     sim_core::parallel::set_max_threads(1);
     assert!(!experiments::stream_mode(), "stream mode must default off");
-    let fig1_arena = Target::Fig1.run(EVENTS);
-    let fig2_arena = Target::Fig2.run(EVENTS);
+    let fig1_arena = run_computed(Target::Fig1, EVENTS);
+    let fig2_arena = run_computed(Target::Fig2, EVENTS);
 
     // Streaming replay, serial: byte-identical reports.
     experiments::set_stream_mode(true);
-    let fig1_stream = Target::Fig1.run(EVENTS);
-    let fig2_stream = Target::Fig2.run(EVENTS);
+    let fig1_stream = run_computed(Target::Fig1, EVENTS);
+    let fig2_stream = run_computed(Target::Fig2, EVENTS);
     assert_eq!(
         fig1_arena, fig1_stream,
         "fig1 must be bit-for-bit identical arena vs stream (1 thread)"
@@ -44,7 +66,7 @@ fn stream_and_large_geometry_replay_match_arena_trace_order() {
 
     // Streaming replay on worker threads: still byte-identical.
     sim_core::parallel::set_max_threads(4);
-    let fig1_stream4 = Target::Fig1.run(EVENTS);
+    let fig1_stream4 = run_computed(Target::Fig1, EVENTS);
     assert_eq!(
         fig1_arena, fig1_stream4,
         "fig1 must be bit-for-bit identical arena vs stream (4 threads)"

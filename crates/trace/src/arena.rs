@@ -32,6 +32,7 @@
 //! assert_eq!(first.len(), 100);
 //! ```
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::memo::Memo;
@@ -65,6 +66,8 @@ impl ArenaKey {
 #[derive(Debug, Default)]
 pub struct TraceArena {
     memo: Memo<ArenaKey, Arc<[TraceEvent]>>,
+    /// Bumped by every [`TraceArena::clear`].
+    generation: AtomicU64,
 }
 
 /// Counters describing how much work the arena has absorbed.
@@ -130,6 +133,10 @@ impl TraceArena {
                         std::panic::panic_any(fault);
                     }
                     let mut src = source();
+                    // Collected into a `Vec` and copied, not straight
+                    // into the `Arc`: that saves the copy but made a
+                    // cold rebuild after `clear` fault in every page
+                    // anew (EXPERIMENTS.md §"Each distinct cell once").
                     let trace: Vec<TraceEvent> = (0..events).map(|_| src.next_event()).collect();
                     sim_core::span::add_events(trace.len() as u64);
                     Arc::from(trace)
@@ -156,10 +163,19 @@ impl TraceArena {
         }
     }
 
-    /// Drops every resident trace (outstanding `Arc`s stay valid) and
-    /// resets the counters.
+    /// Drops every resident trace (outstanding `Arc`s stay valid),
+    /// resets the counters and starts a new [`Self::generation`].
     pub fn clear(&self) {
         self.memo.clear();
+        self.generation.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many times [`Self::clear`] has run. Memos of results
+    /// computed from the arena's traces (the experiment drivers' cell
+    /// memo) key their entries by it, so a `clear` empties them too.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Relaxed)
     }
 }
 
@@ -224,7 +240,9 @@ mod tests {
     fn clear_resets() {
         let arena = TraceArena::new();
         let kept = arena.get_or_materialize(ArenaKey::new("s", 1, 50), sweep);
+        assert_eq!(arena.generation(), 0);
         arena.clear();
+        assert_eq!(arena.generation(), 1, "clear starts a new generation");
         let stats = arena.stats();
         assert_eq!((stats.traces, stats.hits, stats.misses), (0, 0, 0));
         assert_eq!(kept.len(), 50); // outstanding Arc survives clear

@@ -36,7 +36,7 @@
 pub mod arena;
 pub mod decomposed;
 mod event;
-mod memo;
+pub mod memo;
 pub mod pattern;
 mod record;
 
